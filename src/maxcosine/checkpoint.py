@@ -3,18 +3,21 @@
 Layout: 8-byte magic `MCLSTM\\x00\\x01`, an 8-byte little-endian header length,
 a UTF-8 JSON header `{"config": {...}, "arrays": [{"name", "shape"}, ...]}`,
 then each array's float64 row-major little-endian bytes in header order.
-Round-trips are bit-exact.
+The arrays are `Model.parameters()`, so each LSTM is stored as its per-gate
+`W_i … b_c` blocks. Round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import os
 import struct
 
 import numpy as np
 
-from .model import LstmParams, Model, ModelConfig, SoftmaxParams
+from .model import Model, ModelConfig, zero_model
 
 MAGIC = b"MCLSTM\x00\x01"
 
@@ -39,30 +42,33 @@ def save_checkpoint(path, model: Model) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint; a file that is not exactly what save_checkpoint writes
+    for the config in its header raises CheckpointError naming `path`."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: bad magic (not a checkpoint)")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise CheckpointError(f"{path}: truncated array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    def lstm(prefix: str) -> LstmParams:
-        return LstmParams(**{f: arrays[f"{prefix}.{f}"] for f in
-                             ("W_i", "W_f", "W_o", "W_c", "b_i", "b_f", "b_o", "b_c")})
-    try:
-        model = Model(
-            config=config,
-            lstm_h=lstm("lstm_h"),
-            softmax_params=SoftmaxParams(W_s=arrays["softmax.W_s"], b_s=arrays["softmax.b_s"]),
-            lstm_p=lstm("lstm_p") if config.biway else None,
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing array {exc}") from None
+        raw = fh.read(8)
+        if len(raw) != 8:
+            raise CheckpointError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<Q", raw)
+        if hlen > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            model = zero_model(ModelConfig(**header["config"]))
+            entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: bad header: {exc!r}") from None
+        params = model.parameters()
+        expected = [(name, view.shape) for name, view in params.items()]
+        for got, want in itertools.zip_longest(entries, expected):
+            if got != want:
+                raise CheckpointError(f"{path}: header lists array {got}, config needs {want}")
+        for name, view in params.items():
+            raw = fh.read(view.nbytes)
+            if len(raw) != view.nbytes:
+                raise CheckpointError(f"{path}: truncated array {name}")
+            view[...] = np.frombuffer(raw, dtype="<f8").reshape(view.shape)
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last array")
     return model

@@ -26,9 +26,9 @@ from .embeddings import (
 )
 from .gradcheck import model_gradient_check
 from .matching import build_augmented_sequence
-from .model import forward, init_model
+from .model import check_library_dim, forward, init_model
 from .numerics import make_rng
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, train
 
 log = logging.getLogger(__name__)
 
@@ -196,25 +196,14 @@ def cmd_eval(args) -> int:
     pairs = _load_pairs(args.dataset)
     if _is_manifest(args.checkpoint):
         group = ens.load_ensemble(args.checkpoint)
-        confusion = np.zeros((3, 3), dtype=np.int64)
-        if lib.dim != group.members[0].config.embedding_dim:
-            raise CliError(
-                f"library dimension {lib.dim} != checkpoint embedding_dim "
-                f"{group.members[0].config.embedding_dim}"
-            )
-        for pair in pairs:
-            _, label = ens.predict_ensemble(group, pair, lib)
-            confusion[pair.label - 1, label - 1] += 1
-        accuracy = float(np.trace(confusion)) / len(pairs)
     else:
-        model = ckpt.load_checkpoint(args.checkpoint)
-        if lib.dim != model.config.embedding_dim:
-            raise CliError(
-                f"library dimension {lib.dim} != checkpoint embedding_dim "
-                f"{model.config.embedding_dim}"
-            )
-        result = evaluate(pairs, model, lib)
-        confusion, accuracy = result.confusion, result.accuracy
+        group = ens.Ensemble([ckpt.load_checkpoint(args.checkpoint)])
+    check_library_dim(group.members[0].config, lib)
+    confusion = np.zeros((3, 3), dtype=np.int64)
+    for pair in pairs:
+        _, label = ens.predict_ensemble(group, pair, lib)
+        confusion[pair.label - 1, label - 1] += 1
+    accuracy = float(np.trace(confusion)) / len(pairs)
     print(f"accuracy: {accuracy:.4f} ({int(np.trace(confusion))}/{len(pairs)})")
     print("confusion (rows gold, cols predicted; E C N):")
     for row_label, row in zip("ECN", confusion):
@@ -226,11 +215,7 @@ def cmd_predict(args) -> int:
     cfg = resolve_config(args)
     lib = load_libraries(cfg)
     model = ckpt.load_checkpoint(args.checkpoint)
-    if lib.dim != model.config.embedding_dim:
-        raise CliError(
-            f"library dimension {lib.dim} != checkpoint embedding_dim "
-            f"{model.config.embedding_dim}"
-        )
+    check_library_dim(model.config, lib)
     prem = tokenize(args.premise)
     hyp = tokenize(args.hypothesis)
     if not prem or not hyp:

@@ -103,10 +103,3 @@ def load_snli(path, max_pairs: Optional[int] = None) -> tuple[list[SentencePair]
             f"{path}: {report.malformed}/{report.total_lines} malformed lines (>1%), aborting"
         )
     return pairs, report
-
-
-def save_tsv_cache(pairs, path) -> None:
-    """`label TAB premise-tokens TAB hypothesis-tokens` normalized cache."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(f"{p.label}\t{' '.join(p.premise_tokens)}\t{' '.join(p.hypothesis_tokens)}\n")

@@ -17,9 +17,6 @@ from .embeddings import EmbeddingLibrary
 from .model import Model, forward
 from .training import TrainConfig, TrainResult, train
 
-DEFAULT_SIZE = 5
-
-
 @dataclass
 class Ensemble:
     members: list[Model]

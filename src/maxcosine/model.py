@@ -38,24 +38,35 @@ class ModelConfig:
         return 2 * self.embedding_dim
 
 
+GATES = ("i", "f", "o", "c")
+
+
 @dataclass
 class LstmParams:
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    """The four gates stacked in `GATES` order: row block j of `W` and `b` is
+    gate GATES[j], and the columns of `W` read [z_t || h_{t-1}]."""
+
+    W: np.ndarray  # (4k, input_dim + k)
+    b: np.ndarray  # (4k,)
 
     @property
     def hidden_size(self) -> int:
-        return self.W_i.shape[0]
+        return self.W.shape[0] // len(GATES)
 
     @property
     def input_dim(self) -> int:
-        return self.W_i.shape[1] - self.hidden_size
+        return self.W.shape[1] - self.hidden_size
+
+
+def gate_views(params: LstmParams) -> dict[str, np.ndarray]:
+    """Per-gate row views `W_i … W_c, b_i … b_c`: the names under which
+    parameters(), backward() and checkpoints expose an LSTM."""
+    k = params.hidden_size
+    out = {}
+    for prefix, arr in (("W", params.W), ("b", params.b)):
+        for j, gate in enumerate(GATES):
+            out[f"{prefix}_{gate}"] = arr[j * k : (j + 1) * k]
+    return out
 
 
 @dataclass
@@ -69,11 +80,8 @@ class EncodeTrace:
     """Per-timestep activations cached by the forward pass for BPTT."""
 
     H: np.ndarray        # (m, input_dim + k) concatenated [dropped z_t || h_{t-1}]
-    i: np.ndarray        # (m, k)
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray        # tanh candidate values
-    c: np.ndarray
+    gates: np.ndarray    # (m, 4k) gate activations i, f, o (sigmoid) and c (tanh)
+    c: np.ndarray        # (m, k)
     tanh_c: np.ndarray
     h: np.ndarray
     out_mask: Optional[np.ndarray]  # (k,) inverted-dropout mask on h_m, or None
@@ -113,8 +121,8 @@ class Model:
         if self.config.biway:
             groups.append(("lstm_p", self.lstm_p))
         for prefix, p in groups:
-            for name in ("W_i", "W_f", "W_o", "W_c", "b_i", "b_f", "b_o", "b_c"):
-                out[f"{prefix}.{name}"] = getattr(p, name)
+            for name, view in gate_views(p).items():
+                out[f"{prefix}.{name}"] = view
         out["softmax.W_s"] = self.softmax.W_s
         out["softmax.b_s"] = self.softmax.b_s
         return out
@@ -128,57 +136,47 @@ class Model:
         )
 
 
-def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
+def _glorot(rng: np.random.Generator, rows: int, shape: tuple[int, int]) -> np.ndarray:
+    """Uniform draw with the Glorot limit of a (rows, shape[1]) matrix; a stacked
+    matrix of several such blocks consumes the stream as one draw per block would."""
+    limit = np.sqrt(6.0 / (rows + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
 
 
-def _init_lstm(rng: np.random.Generator, k: int, input_dim: int) -> LstmParams:
-    shape = (k, input_dim + k)
-    return LstmParams(
-        W_i=_glorot(rng, *shape),
-        W_f=_glorot(rng, *shape),
-        W_o=_glorot(rng, *shape),
-        W_c=_glorot(rng, *shape),
-        b_i=np.zeros(k),
-        b_f=np.zeros(k),
-        b_o=np.zeros(k),
-        b_c=np.zeros(k),
-    )
+def zero_model(config: ModelConfig) -> Model:
+    """A model with every parameter zero, in the shapes `config` implies."""
+    k, n = config.k, config.input_dim + config.k
+
+    def lstm() -> LstmParams:
+        return LstmParams(W=np.zeros((len(GATES) * k, n)), b=np.zeros(len(GATES) * k))
+
+    softmax_cols = 2 * k if config.biway else k
+    softmax_params = SoftmaxParams(W_s=np.zeros((N_LABELS, softmax_cols)), b_s=np.zeros(N_LABELS))
+    return Model(config, lstm(), softmax_params, lstm() if config.biway else None)
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
-    """Uniform Glorot weights, zero biases; biway allocates two independent LSTMs."""
-    lstm_h = _init_lstm(rng, config.k, config.input_dim)
-    lstm_p = _init_lstm(rng, config.k, config.input_dim) if config.biway else None
-    softmax_cols = 2 * config.k if config.biway else config.k
-    softmax_params = SoftmaxParams(
-        W_s=_glorot(rng, N_LABELS, softmax_cols), b_s=np.zeros(N_LABELS)
-    )
-    return Model(config, lstm_h, softmax_params, lstm_p)
+    """Uniform Glorot weights (per gate for the LSTMs), zero biases; biway
+    allocates two independent LSTMs."""
+    model = zero_model(config)
+    for lstm in (model.lstm_h, model.lstm_p):
+        if lstm is not None:
+            lstm.W = _glorot(rng, config.k, lstm.W.shape)
+    model.softmax.W_s = _glorot(rng, N_LABELS, model.softmax.W_s.shape)
+    return model
 
 
-def dropout_mask(rng: np.random.Generator, size: int, rate: float) -> np.ndarray:
-    """Inverted-dropout mask: entries are 0 or 1/(1-rate)."""
+def check_library_dim(config: ModelConfig, lib: EmbeddingLibrary) -> None:
+    """Reject a library whose vectors do not have the model's embedding width."""
+    if lib.dim != config.embedding_dim:
+        raise ValueError(
+            f"library dimension {lib.dim} != checkpoint embedding_dim {config.embedding_dim}"
+        )
+
+
+def dropout_mask(rng: np.random.Generator, size, rate: float) -> np.ndarray:
+    """Inverted-dropout mask of shape `size`: entries are 0 or 1/(1-rate)."""
     return (rng.random(size) >= rate) / (1.0 - rate)
-
-
-def lstm_step(
-    params: LstmParams, z_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    if z_t.shape[0] != params.input_dim:
-        raise ValueError(f"input length {z_t.shape[0]} != expected {params.input_dim}")
-    if h_prev.shape[0] != params.hidden_size or c_prev.shape[0] != params.hidden_size:
-        raise ValueError("state length does not match hidden size")
-    H = np.concatenate([z_t, h_prev])
-    i = sigmoid(params.W_i @ H + params.b_i)
-    f = sigmoid(params.W_f @ H + params.b_f)
-    o = sigmoid(params.W_o @ H + params.b_o)
-    g = np.tanh(params.W_c @ H + params.b_c)
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, {"H": H, "i": i, "f": f, "o": o, "g": g, "c": c, "tanh_c": tanh_c}
 
 
 def encode_sequence(
@@ -191,40 +189,42 @@ def encode_sequence(
     """Run the LSTM over the (m, input_dim) augmented sequence from zero state.
 
     Train mode applies inverted dropout to each input and to the final hidden
-    state; eval mode is deterministic and dropout-free.
+    state; eval mode is deterministic and dropout-free. The input projection of
+    the whole sequence is one product; the recurrence adds `W_h @ h` per step.
     """
     m = Z.shape[0]
     if m == 0:
         raise ValueError("empty sequence")
-    k = params.hidden_size
+    k, n_in = params.hidden_size, params.input_dim
+    if Z.shape[1] != n_in:
+        raise ValueError(f"input length {Z.shape[1]} != expected {n_in}")
     drop = train and dropout_rate > 0.0
     if drop and rng is None:
         raise ValueError("train-mode dropout needs an rng")
-    dt = np.result_type(Z.dtype, params.W_i.dtype, np.float64)
-    cache = {key: np.empty((m, k), dtype=dt) for key in ("i", "f", "o", "g", "c", "tanh_c", "h")}
-    Hs = np.empty((m, Z.shape[1] + k), dtype=dt)
+    dt = np.result_type(Z.dtype, params.W.dtype, np.float64)
+    Hs = np.zeros((m, n_in + k), dtype=dt)
+    # one mask row per timestep, drawn in timestep order
+    Hs[:, :n_in] = Z * dropout_mask(rng, Z.shape, dropout_rate) if drop else Z
+    gates = Hs[:, :n_in] @ params.W[:, :n_in].T + params.b
+    W_h = params.W[:, n_in:]
+    cs, tanh_cs, hs = (np.empty((m, k), dtype=dt) for _ in range(3))
     h = np.zeros(k, dtype=dt)
     c = np.zeros(k, dtype=dt)
     for t in range(m):
-        z_t = Z[t] * dropout_mask(rng, Z.shape[1], dropout_rate) if drop else Z[t]
-        h, c, step = lstm_step(params, z_t, h, c)
-        Hs[t] = step["H"]
-        for key in ("i", "f", "o", "g", "c", "tanh_c"):
-            cache[key][t] = step[key]
-        cache["h"][t] = h
+        Hs[t, n_in:] = h
+        a = gates[t]
+        a += W_h @ h
+        a[: 3 * k] = sigmoid(a[: 3 * k])
+        a[3 * k :] = np.tanh(a[3 * k :])
+        i, f, o, g = a.reshape(len(GATES), k)
+        c = f * c + i * g
+        tanh_cs[t] = np.tanh(c)
+        h = o * tanh_cs[t]
+        cs[t], hs[t] = c, h
     out_mask = dropout_mask(rng, k, dropout_rate) if drop else None
     h_final = h * out_mask if drop else h
     trace = EncodeTrace(
-        H=Hs,
-        i=cache["i"],
-        f=cache["f"],
-        o=cache["o"],
-        g=cache["g"],
-        c=cache["c"],
-        tanh_c=cache["tanh_c"],
-        h=cache["h"],
-        out_mask=out_mask,
-        h_final=h_final,
+        H=Hs, gates=gates, c=cs, tanh_c=tanh_cs, h=hs, out_mask=out_mask, h_final=h_final
     )
     return h_final, trace
 
@@ -238,10 +238,6 @@ def decide(softmax_params: SoftmaxParams, h: np.ndarray) -> tuple[np.ndarray, in
     p = softmax_params.W_s @ h + softmax_params.b_s
     probs = softmax(p)
     return probs, int(np.argmax(probs)) + 1
-
-
-def label_name(label: int) -> str:
-    return LABEL_NAMES[label]
 
 
 def augment_pair(
@@ -295,64 +291,26 @@ def forward(
     )
 
 
-def forward_base(model, pair, lib, train=False, rng=None):
-    if model.config.biway:
-        raise ValueError("forward_base called on a biway model")
-    return forward(model, pair, lib, train, rng)
-
-
-def forward_biway(model, pair, lib, train=False, rng=None):
-    if not model.config.biway:
-        raise ValueError("forward_biway called on a base model")
-    return forward(model, pair, lib, train, rng)
-
-
-def _bptt(params: LstmParams, trace: EncodeTrace, dh_last: np.ndarray) -> dict[str, np.ndarray]:
+def _bptt(params: LstmParams, trace: EncodeTrace, dh_last: np.ndarray) -> LstmParams:
+    """Gradients of `params` given dL/dh_m, laid out like `params`."""
     k = params.hidden_size
-    input_dim = params.input_dim
-    grads = {
-        "W_i": np.zeros_like(params.W_i),
-        "W_f": np.zeros_like(params.W_f),
-        "W_o": np.zeros_like(params.W_o),
-        "W_c": np.zeros_like(params.W_c),
-        "b_i": np.zeros(k),
-        "b_f": np.zeros(k),
-        "b_o": np.zeros(k),
-        "b_c": np.zeros(k),
-    }
+    W_hT = params.W[:, params.input_dim :].T
+    dA = np.empty((len(trace), len(GATES) * k))
     dh = dh_last
     dc = np.zeros(k)
     for t in range(len(trace) - 1, -1, -1):
-        i, f, o, g = trace.i[t], trace.f[t], trace.o[t], trace.g[t]
+        i, f, o, g = trace.gates[t].reshape(len(GATES), k)
         tanh_c = trace.tanh_c[t]
         c_prev = trace.c[t - 1] if t > 0 else np.zeros(k)
-        do = dh * tanh_c
         dc = dc + dh * o * tanh_grad(tanh_c)
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        da_i = di * sigmoid_grad(i)
-        da_f = df * sigmoid_grad(f)
-        da_o = do * sigmoid_grad(o)
-        da_c = dg * tanh_grad(g)
-        H = trace.H[t]
-        grads["W_i"] += np.outer(da_i, H)
-        grads["W_f"] += np.outer(da_f, H)
-        grads["W_o"] += np.outer(da_o, H)
-        grads["W_c"] += np.outer(da_c, H)
-        grads["b_i"] += da_i
-        grads["b_f"] += da_f
-        grads["b_o"] += da_o
-        grads["b_c"] += da_c
-        dH = (
-            params.W_i.T @ da_i
-            + params.W_f.T @ da_f
-            + params.W_o.T @ da_o
-            + params.W_c.T @ da_c
-        )
-        dh = dH[input_dim:]
+        da_i, da_f, da_o, da_c = dA[t].reshape(len(GATES), k)
+        da_i[:] = dc * g * sigmoid_grad(i)
+        da_f[:] = dc * c_prev * sigmoid_grad(f)
+        da_o[:] = dh * tanh_c * sigmoid_grad(o)
+        da_c[:] = dc * i * tanh_grad(g)
+        dh = W_hT @ dA[t]
         dc = dc * f
-    return grads
+    return LstmParams(W=dA.T @ trace.H, b=dA.sum(axis=0))
 
 
 def backward(model: Model, trace: ForwardTrace, gold_label: int) -> dict[str, np.ndarray]:
@@ -377,12 +335,12 @@ def backward(model: Model, trace: ForwardTrace, gold_label: int) -> dict[str, np
             dh_p = dh_p * trace.enc_p.out_mask
         if trace.enc_h.out_mask is not None:
             dh_h = dh_h * trace.enc_h.out_mask
-        for name, g in _bptt(model.lstm_p, trace.enc_p, dh_p).items():
+        for name, g in gate_views(_bptt(model.lstm_p, trace.enc_p, dh_p)).items():
             grads[f"lstm_p.{name}"] = g
     else:
         dh_h = dh_out
         if trace.enc_h.out_mask is not None:
             dh_h = dh_h * trace.enc_h.out_mask
-    for name, g in _bptt(model.lstm_h, trace.enc_h, dh_h).items():
+    for name, g in gate_views(_bptt(model.lstm_h, trace.enc_h, dh_h)).items():
         grads[f"lstm_h.{name}"] = g
     return {name: grads[name] for name in model.parameters()}

@@ -13,14 +13,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def matvec(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if w.ndim != 2 or v.ndim != 1 or w.shape[1] != v.shape[0]:
-        raise ValueError(f"matvec shape mismatch: {w.shape} @ {v.shape}")
-    return w @ v
-
-
 def sigmoid(x):
     # clip keeps exp() finite; sigmoid is exactly 0/1 in float64 well before |x|=60
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))

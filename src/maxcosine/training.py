@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import SentencePair
 from .embeddings import DEFAULT_OOV_WINDOW, EmbeddingLibrary
-from .model import Model, ModelConfig, backward, forward, init_model
+from .model import Model, ModelConfig, backward, check_library_dim, forward, init_model
 from .numerics import make_rng
 
 log = logging.getLogger(__name__)
@@ -129,11 +129,7 @@ class TrainResult:
 
 
 def evaluate(pairs: Sequence[SentencePair], model: Model, lib: EmbeddingLibrary) -> EvalResult:
-    if lib.dim != model.config.embedding_dim:
-        raise ValueError(
-            f"library dimension {lib.dim} != checkpoint embedding_dim "
-            f"{model.config.embedding_dim}"
-        )
+    check_library_dim(model.config, lib)
     confusion = np.zeros((3, 3), dtype=np.int64)
     for pair in pairs:
         probs, _ = forward(model, pair, lib, train=False)

@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxcosine.cli import main, read_config_file, CliError
+from maxcosine.cli import build_parser, main, read_config_file, CliError
 from maxcosine.embeddings import load_binary_format, load_text_format
 from maxcosine.numerics import make_rng
 
@@ -192,3 +194,19 @@ def test_help_lists_subcommands(capsys):
     out = capsys.readouterr().out
     for cmd in ("train", "eval", "predict", "match", "ensemble-train", "gradcheck", "embed-convert"):
         assert cmd in out
+
+
+def _readme_commands() -> list[str]:
+    """Every `maxcosine ...` line of README.md, with `\\` continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("maxcosine ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    parser = build_parser()
+    for command in commands:
+        args = parser.parse_args(shlex.split(command)[1:])
+        assert callable(args.func), command

@@ -8,7 +8,6 @@ from maxcosine.data import (
     ENTAILMENT,
     NEUTRAL,
     load_snli,
-    save_tsv_cache,
     tokenize,
 )
 
@@ -106,13 +105,3 @@ class TestLoadSnli:
         rows += [{"gold_label": "neutral", "sentence1": "x y", "sentence2": "z"}] * 300
         _, report = load_snli(write_jsonl(tmp_path / "d.jsonl", rows))
         assert report.consistent()
-
-    def test_tsv_cache(self, tmp_path):
-        path = write_jsonl(
-            tmp_path / "d.jsonl",
-            [{"gold_label": "entailment", "sentence1": "A cat.", "sentence2": "An animal!"}],
-        )
-        pairs, _ = load_snli(path)
-        out = tmp_path / "cache.tsv"
-        save_tsv_cache(pairs, out)
-        assert out.read_text() == "1\ta cat\tan animal\n"

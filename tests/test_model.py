@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +12,6 @@ from maxcosine.checkpoint import CheckpointError, load_checkpoint, save_checkpoi
 from maxcosine.embeddings import EmbeddingLibrary
 from maxcosine.gradcheck import model_gradient_check
 from maxcosine.model import (
-    LstmParams,
     Model,
     ModelConfig,
     SoftmaxParams,
@@ -17,10 +20,7 @@ from maxcosine.model import (
     dropout_mask,
     encode_sequence,
     forward,
-    forward_base,
-    forward_biway,
     init_model,
-    lstm_step,
 )
 from maxcosine.numerics import make_rng
 
@@ -33,21 +33,29 @@ def small_model(d=8, k=12, biway=False, dropout=0.0, seed=0):
 class TestInit:
     def test_shapes_base(self):
         model = small_model(d=300, k=300)
-        assert model.lstm_h.W_i.shape == (300, 900)
+        assert model.lstm_h.W.shape == (1200, 900)
+        assert model.lstm_h.b.shape == (1200,)
         assert model.softmax.W_s.shape == (3, 300)
         assert model.lstm_p is None
 
     def test_shapes_biway(self):
         model = small_model(d=300, k=300, biway=True)
         assert model.softmax.W_s.shape == (3, 600)
-        assert model.lstm_p.W_i.shape == (300, 900)
+        assert model.lstm_p.W.shape == (1200, 900)
 
     def test_biases_zero_weights_bounded(self):
         model = small_model(d=6, k=5)
-        assert np.all(model.lstm_h.b_i == 0) and np.all(model.softmax.b_s == 0)
-        limit = math.sqrt(6.0 / (5 + 17))
-        for w in (model.lstm_h.W_i, model.lstm_h.W_f, model.lstm_h.W_o, model.lstm_h.W_c):
-            assert np.all(np.abs(w) <= limit)
+        assert np.all(model.lstm_h.b == 0) and np.all(model.softmax.b_s == 0)
+        limit = math.sqrt(6.0 / (5 + 17))  # per gate: (k, input_dim + k)
+        assert np.all(np.abs(model.lstm_h.W) <= limit)
+
+    def test_parameters_are_gate_row_views(self):
+        model = small_model(d=2, k=3)
+        params = model.parameters()
+        params["lstm_h.W_o"][...] = 7.0
+        params["lstm_h.b_f"][...] = 5.0
+        assert np.all(model.lstm_h.W[6:9] == 7.0) and np.sum(model.lstm_h.W == 7.0) == 3 * 7
+        assert np.all(model.lstm_h.b[3:6] == 5.0) and np.sum(model.lstm_h.b == 5.0) == 3
 
     def test_same_seed_bitwise_identical(self):
         a, b = small_model(seed=42), small_model(seed=42)
@@ -59,58 +67,55 @@ def reference_lstm_step(params, z, h_prev, c_prev):
     """Independent scalar-loop recomputation of one LSTM step."""
     k = len(h_prev)
     H = list(z) + list(h_prev)
-    def dot(row):
-        return sum(a * b for a, b in zip(row, H))
+    def pre(gate, j):
+        row = gate * k + j  # gate row blocks i, f, o, c
+        return sum(a * b for a, b in zip(params.W[row], H)) + params.b[row]
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     h, c = [0.0] * k, [0.0] * k
     for j in range(k):
-        i = sig(dot(params.W_i[j]) + params.b_i[j])
-        f = sig(dot(params.W_f[j]) + params.b_f[j])
-        o = sig(dot(params.W_o[j]) + params.b_o[j])
-        g = math.tanh(dot(params.W_c[j]) + params.b_c[j])
+        i, f, o, g = sig(pre(0, j)), sig(pre(1, j)), sig(pre(2, j)), math.tanh(pre(3, j))
         c[j] = f * c_prev[j] + i * g
         h[j] = o * math.tanh(c[j])
     return np.array(h), np.array(c)
 
 
-class TestLstmStep:
+class TestEncodeSequence:
+    @pytest.mark.parametrize("train", [False, True])
+    def test_matches_scalar_oracle(self, train):
+        rng = make_rng(8)
+        model = small_model(d=2, k=3, seed=8)
+        Z = rng.standard_normal((6, 4))
+        h_final, trace = encode_sequence(model.lstm_h, Z, 0.4, train=train, rng=make_rng(9))
+        # the oracle draws the masks as one step at a time would: each input, then h_m
+        masks = make_rng(9)
+        h, c = np.zeros(3), np.zeros(3)
+        for t in range(len(Z)):
+            z = Z[t] * dropout_mask(masks, 4, 0.4) if train else Z[t]
+            h, c = reference_lstm_step(model.lstm_h, z, h, c)
+            assert np.max(np.abs(trace.h[t] - h)) < 1e-12
+            assert np.max(np.abs(trace.c[t] - c)) < 1e-12
+        expected = h * dropout_mask(masks, 3, 0.4) if train else h
+        assert np.max(np.abs(h_final - expected)) < 1e-12
+
     def test_zero_params_zero_state(self):
         model = small_model(d=3, k=4)
-        p = model.lstm_h
-        for name in ("W_i", "W_f", "W_o", "W_c"):
-            getattr(p, name)[...] = 0.0
-        h, c, _ = lstm_step(p, np.ones(6), np.zeros(4), np.zeros(4))
-        assert np.all(h == 0) and np.all(c == 0)
+        model.lstm_h.W[...] = 0.0
+        h, trace = encode_sequence(model.lstm_h, np.ones((3, 6)), 0.0, train=False)
+        assert np.all(h == 0) and np.all(trace.c == 0)
 
     def test_gate_and_output_ranges(self):
         rng = make_rng(3)
         model = small_model(d=4, k=6)
-        h = np.zeros(6)
-        c = np.zeros(6)
-        for _ in range(20):
-            h, c, cache = lstm_step(model.lstm_h, rng.standard_normal(8), h, c)
-            for gate in (cache["i"], cache["f"], cache["o"]):
-                assert np.all(gate > 0) and np.all(gate < 1)
-            assert np.all(h > -1) and np.all(h < 1)
-
-    def test_matches_independent_recomputation(self):
-        rng = make_rng(8)
-        model = small_model(d=1, k=2, seed=8)
-        z = rng.standard_normal(2)
-        h_prev = rng.standard_normal(2) * 0.5
-        c_prev = rng.standard_normal(2) * 0.5
-        h, c, _ = lstm_step(model.lstm_h, z, h_prev, c_prev)
-        h_ref, c_ref = reference_lstm_step(model.lstm_h, z, h_prev, c_prev)
-        assert np.max(np.abs(h - h_ref)) < 1e-12
-        assert np.max(np.abs(c - c_ref)) < 1e-12
+        _, trace = encode_sequence(model.lstm_h, rng.standard_normal((20, 8)), 0.0, train=False)
+        sigmoid_gates = trace.gates[:, : 3 * 6]
+        assert np.all(sigmoid_gates > 0) and np.all(sigmoid_gates < 1)
+        assert np.all(trace.h > -1) and np.all(trace.h < 1)
 
     def test_dimension_mismatch(self):
         model = small_model(d=3, k=4)
         with pytest.raises(ValueError):
-            lstm_step(model.lstm_h, np.ones(5), np.zeros(4), np.zeros(4))
+            encode_sequence(model.lstm_h, np.ones((2, 5)), 0.0, train=False)
 
-
-class TestEncodeSequence:
     def test_dropout_zero_train_equals_eval(self):
         rng = make_rng(0)
         model = small_model(d=3, k=4)
@@ -186,28 +191,19 @@ class TestForward:
         assert np.array_equal(a, b)
         assert a.shape == (3,)
 
-    def test_wrong_architecture_dispatch_errors(self):
-        rng = make_rng(5)
-        lib = random_library(rng, dim=6)
-        pair = random_pairs(rng, lib, 1)[0]
-        with pytest.raises(ValueError):
-            forward_biway(small_model(d=6, k=5), pair, lib)
-        with pytest.raises(ValueError):
-            forward_base(small_model(d=6, k=5, biway=True), pair, lib)
-
     def test_biway_zeroed_premise_columns_reduce_to_hypothesis_decision(self):
         rng = make_rng(6)
         lib = random_library(rng, dim=6)
         pair = random_pairs(rng, lib, 1)[0]
         model = small_model(d=6, k=5, biway=True)
         model.softmax.W_s[:, :5] = 0.0  # premise-side columns
-        probs_biway, trace = forward_biway(model, pair, lib)
+        probs_biway, trace = forward(model, pair, lib)
         base = Model(
             config=ModelConfig(embedding_dim=6, k=5),
             lstm_h=model.lstm_h,
             softmax_params=SoftmaxParams(W_s=model.softmax.W_s[:, 5:], b_s=model.softmax.b_s),
         )
-        probs_base, _ = forward_base(base, pair, lib)
+        probs_base, _ = forward(base, pair, lib)
         assert np.allclose(probs_biway, probs_base, atol=1e-12)
 
     def test_failed_vs_succeeded_premises(self):
@@ -313,3 +309,35 @@ class TestCheckpoint:
         path.write_bytes(data[: len(data) - 16])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_fresh_checkpoint_bytes_pinned(self, tmp_path):
+        # the digest of the per-gate-array format as written before the gates were stacked
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(ModelConfig(embedding_dim=4, k=3, biway=True), make_rng(0)))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "fdff6c101abf038b09813bd19f0681d33949a51dec644624995f27dc78870a10"
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data[:12],
+        lambda data: data[:8] + struct.pack("<Q", 5) + b"{nope",
+        lambda data: _edit_header(data, lambda h: h["config"].update(bogus=1)),
+        lambda data: data + b"\x00",
+        lambda data: _edit_header(data, lambda h: h["arrays"][0].update(name="lstm_h.W_x")),
+        lambda data: _edit_header(data, lambda h: h["arrays"][0]["shape"].reverse()),
+    ], ids=["short_header", "bad_json", "unknown_config_key", "trailing_bytes",
+            "renamed_array", "reshaped_array"])
+    def test_corrupt_file_raises_checkpoint_error(self, tmp_path, corrupt):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, small_model(d=4, k=3))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+
+def _edit_header(data, edit):
+    """Re-encode a checkpoint's JSON header after `edit` mutates it in place."""
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16 : 16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen :]

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from maxcosine.numerics import (
     gradient_check,
     make_rng,
-    matvec,
     sigmoid,
     sigmoid_grad,
     softmax,
@@ -13,33 +12,6 @@ from maxcosine.numerics import (
 )
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
-
-
-def test_matvec_identity():
-    assert np.allclose(matvec(np.eye(3), np.array([1.0, 2.0, 3.0])), [1, 2, 3])
-
-
-def test_matvec_zero():
-    assert np.all(matvec(np.zeros((2, 3)), np.array([4.0, 5.0, 6.0])) == 0)
-
-
-def test_matvec_hand_example():
-    got = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-    assert np.allclose(got, [3.0, 7.0])
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.eye(3), np.array([1.0, 2.0]))
-
-
-def test_matvec_linearity():
-    rng = make_rng(0)
-    w = rng.standard_normal((4, 5))
-    u, v = rng.standard_normal(5), rng.standard_normal(5)
-    lhs = matvec(w, 2.0 * u + 3.0 * v)
-    rhs = 2.0 * matvec(w, u) + 3.0 * matvec(w, v)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_sigmoid_tanh_at_zero():
