@@ -9,15 +9,17 @@ The arrays are `Model.parameters()`, so each LSTM is stored as its per-gate
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from .model import Model, ModelConfig, zero_model
+from .model import Model, ModelConfig, parameter_count, zero_model
 
 MAGIC = b"MCLSTM\x00\x01"
 
@@ -33,7 +35,7 @@ def save_checkpoint(path, model: Model) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
@@ -51,12 +53,22 @@ def load_checkpoint(path) -> Model:
         if len(raw) != 8:
             raise CheckpointError(f"{path}: truncated header length")
         (hlen,) = struct.unpack("<Q", raw)
-        if hlen > os.fstat(fh.fileno()).st_size - fh.tell():
+        size = os.fstat(fh.fileno()).st_size
+        if hlen > size - fh.tell():
             raise CheckpointError(f"{path}: truncated header")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
-            model = zero_model(ModelConfig(**header["config"]))
+            config = ModelConfig(**header["config"])
             entries = [(e["name"], tuple(e["shape"])) for e in header["arrays"]]
+            # sized from the config before anything is allocated
+            need, have = 8 * parameter_count(config), size - fh.tell()
+            if need != have:
+                raise CheckpointError(
+                    f"{path}: config needs {need} bytes of arrays, file has {have}"
+                )
+            model = zero_model(config)
+        except CheckpointError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad header: {exc!r}") from None
         params = model.parameters()
@@ -64,11 +76,21 @@ def load_checkpoint(path) -> Model:
         for got, want in itertools.zip_longest(entries, expected):
             if got != want:
                 raise CheckpointError(f"{path}: header lists array {got}, config needs {want}")
-        for name, view in params.items():
-            raw = fh.read(view.nbytes)
-            if len(raw) != view.nbytes:
-                raise CheckpointError(f"{path}: truncated array {name}")
-            view[...] = np.frombuffer(raw, dtype="<f8").reshape(view.shape)
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the last array")
+        for view in params.values():
+            view[...] = np.frombuffer(fh.read(view.nbytes), dtype="<f8").reshape(view.shape)
     return model
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary file whose bytes replace `path` only when the block completes; if it
+    raises, the temporary file is removed and `path` keeps its old contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -16,16 +16,18 @@ from . import checkpoint as ckpt
 from . import ensemble as ens
 from .data import LABEL_NAMES, SentencePair, load_snli, tokenize
 from .embeddings import (
+    DEFAULT_OOV_WINDOW,
     EmbeddingLibrary,
     concat_libraries,
     cosine,
+    embed_sentence,
     load_binary_format,
     load_text_format,
     save_binary_format,
     save_text_format,
 )
 from .gradcheck import model_gradient_check
-from .matching import build_augmented_sequence
+from .matching import match_indices
 from .model import check_library_dim, forward, init_model
 from .numerics import make_rng
 from .training import TrainConfig, train
@@ -236,10 +238,11 @@ def cmd_match(args) -> int:
     hyp = tokenize(args.hypothesis)
     if not prem or not hyp:
         raise CliError("premise and hypothesis must tokenize to at least one token")
-    seq = build_augmented_sequence(hyp, prem, lib, window=cfg.get("oov_window", 4))
-    for t, step in enumerate(seq.steps):
-        sim = cosine(step.own.values, step.matched.values)
-        print(f"{hyp[t]} -> {prem[step.matched_index]} ({sim:.4f})")
+    window = cfg.get("oov_window", DEFAULT_OOV_WINDOW)
+    prem_rows = embed_sentence(lib, prem, window)
+    hyp_rows = embed_sentence(lib, hyp, window)
+    for t, idx in enumerate(match_indices(hyp_rows, prem_rows)):
+        print(f"{hyp[t]} -> {prem[idx]} ({cosine(hyp_rows[t], prem_rows[idx]):.4f})")
     return 0
 
 

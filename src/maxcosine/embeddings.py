@@ -4,8 +4,6 @@ concatenation of two libraries, and windowed OOV averaging."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,18 +13,6 @@ DEFAULT_OOV_WINDOW = 4
 
 class EmbeddingFormatError(ValueError):
     """Raised on malformed embedding files."""
-
-
-class VectorSource(Enum):
-    IN_VOCAB = "in_vocab"
-    OOV_AVERAGED = "oov_averaged"
-    ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class WordVector:
-    values: np.ndarray
-    source: VectorSource
 
 
 class EmbeddingLibrary:
@@ -205,24 +191,18 @@ def concat_libraries(a: EmbeddingLibrary, b: EmbeddingLibrary) -> EmbeddingLibra
     return EmbeddingLibrary(vocab, matrix)
 
 
-def lookup_with_oov(
-    lib: EmbeddingLibrary,
-    tokens: Sequence[str],
-    position: int,
-    window: int = DEFAULT_OOV_WINDOW,
-) -> WordVector:
-    """In-vocab lookup, else the mean of in-vocab neighbors within +-window,
-    else the zero vector."""
-    if not 0 <= position < len(tokens):
-        raise IndexError(f"position {position} out of range for {len(tokens)} tokens")
-    word = tokens[position]
-    if word in lib.vocab:
-        return WordVector(lib.vector(word), VectorSource.IN_VOCAB)
-    lo = max(0, position - window)
-    hi = min(len(tokens), position + window + 1)
-    neighbor_rows = [
-        lib.vector(tokens[j]) for j in range(lo, hi) if j != position and tokens[j] in lib.vocab
-    ]
-    if not neighbor_rows:
-        return WordVector(np.zeros(lib.dim), VectorSource.ZERO)
-    return WordVector(np.mean(neighbor_rows, axis=0), VectorSource.OOV_AVERAGED)
+def embed_sentence(
+    lib: EmbeddingLibrary, tokens: Sequence[str], window: int = DEFAULT_OOV_WINDOW
+) -> np.ndarray:
+    """(n, d) vectors of a sentence's tokens: the library row of an in-vocab token,
+    else the mean of the in-vocab rows within +-window of it, else zeros."""
+    ids = np.array([lib.vocab.get(t, -1) for t in tokens], dtype=np.intp)
+    known = ids >= 0
+    out = np.zeros((len(ids), lib.dim))
+    out[known] = lib.matrix[ids[known]]
+    for t in np.flatnonzero(~known):
+        near = ids[max(0, t - window) : max(0, t + window + 1)]
+        near = near[near >= 0]
+        if near.size:
+            out[t] = lib.matrix[near].mean(axis=0)
+    return out

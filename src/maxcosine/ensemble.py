@@ -11,11 +11,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, forward
+from .model import Model, augment_pair, forward_from_sequences
 from .training import TrainConfig, TrainResult, train
+
+
+class ManifestError(ValueError):
+    """Raised on unreadable or malformed ensemble manifests."""
+
 
 @dataclass
 class Ensemble:
@@ -73,9 +78,11 @@ def predict_ensemble(
 
     Each coordinate is summed in sorted order with extended precision, so the
     mean is independent of member order and reduces exactly to the member
-    output when all members agree bitwise.
+    output when all members agree bitwise. Members differ only in seed, so the
+    pair is matched once for all of them.
     """
-    member_probs = [forward(m, pair, lib, train=False)[0] for m in ensemble.members]
+    z_h, z_p = augment_pair(pair, lib, ensemble.members[0].config)
+    member_probs = [forward_from_sequences(m, z_h, z_p)[0] for m in ensemble.members]
     n = len(member_probs)
     mean = np.empty(3)
     for j in range(3):
@@ -90,22 +97,22 @@ def save_manifest(path, member_paths: Sequence[str], seeds: Sequence[int]) -> No
     manifest = {
         "members": [{"checkpoint": str(p), "seed": int(s)} for p, s in zip(member_paths, seeds)]
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    with atomic_write(path) as fh:
+        fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
 
 
 def load_ensemble(manifest_path) -> Ensemble:
+    """Load every member checkpoint a manifest lists; checkpoint paths are
+    relative to the manifest's directory unless absolute."""
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            paths = [Path(entry["checkpoint"]) for entry in json.load(fh)["members"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"{manifest_path}: bad manifest: {exc!r}") from None
+    if not paths:
+        raise ManifestError(f"{manifest_path}: no members")
     base = Path(manifest_path).parent
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    members = []
-    for entry in manifest["members"]:
-        ckpt = Path(entry["checkpoint"])
-        if not ckpt.is_absolute():
-            ckpt = base / ckpt
-        members.append(load_checkpoint(ckpt))
-    return Ensemble(members=members)
+    return Ensemble(members=[load_checkpoint(base / p) for p in paths])
 
 
 def save_ensemble(ensemble: Ensemble, out_dir, seeds: Optional[Sequence[int]] = None) -> Path:

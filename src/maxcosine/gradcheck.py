@@ -36,10 +36,7 @@ def model_gradient_check(
         raise ValueError("gradient check requires dropout_rate 0")
     params = model.parameters()
     # matching does not depend on the trainable parameters, so sequences are fixed
-    seqs = []
-    for pair in pairs:
-        z_h, z_p = augment_pair(pair, lib, model.config)
-        seqs.append((z_h.vectors(), z_p.vectors() if z_p is not None else None, pair.label))
+    seqs = [(*augment_pair(pair, lib, model.config), pair.label) for pair in pairs]
 
     # the difference quotient cancels ~10 leading digits, so the objective runs in
     # extended precision on a shadow copy; the analytic side stays plain float64

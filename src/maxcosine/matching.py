@@ -1,50 +1,17 @@
-"""Max-cosine word matching and construction of the augmented pair sequence."""
+"""Max-cosine word matching: for each word of one sentence, the index of the most
+cosine-similar word of the other."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .embeddings import (
-    DEFAULT_OOV_WINDOW,
-    EmbeddingLibrary,
-    WordVector,
-    cosine,
-    lookup_with_oov,
-)
+from .embeddings import cosine
 
 
 class EmptySentenceError(ValueError):
     """A sentence tokenized to nothing; the pair should be skipped upstream."""
-
-
-@dataclass(frozen=True)
-class AugmentedStep:
-    own: WordVector
-    matched: WordVector
-    matched_index: int
-
-
-@dataclass
-class AugmentedSequence:
-    steps: list[AugmentedStep]
-    matched_indices: list[int]
-    step_dim: int
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def vectors(self) -> np.ndarray:
-        """(m, step_dim) matrix of concatenated (own || matched) step vectors."""
-        return np.stack(
-            [np.concatenate([s.own.values, s.matched.values]) for s in self.steps]
-        )
-
-
-def _values(v) -> np.ndarray:
-    return v.values if isinstance(v, WordVector) else np.asarray(v, dtype=np.float64)
 
 
 def match_word(query, candidates: Sequence) -> int:
@@ -54,49 +21,35 @@ def match_word(query, candidates: Sequence) -> int:
     """
     if len(candidates) == 0:
         raise ValueError("empty candidate list")
-    q = _values(query)
     best, best_sim = 0, -np.inf
     for i, cand in enumerate(candidates):
-        sim = cosine(q, _values(cand))
+        sim = cosine(query, cand)
         if sim > best_sim:
             best, best_sim = i, sim
     return best
 
 
-def match_fast(query, rows: np.ndarray, norms: np.ndarray) -> int:
-    """Same result as match_word, using precomputed candidate norms and one matvec."""
-    if rows.shape[0] == 0:
+def match_indices(own: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """(m,) index of the most cosine-similar row of `cand` (n, d) for each row of
+    `own` (m, d), as match_word picks it: a zero-norm candidate scores 0, a zero
+    query matches index 0, and ties go to the smallest index.
+
+    Similarities are one `cand @ q` product per query row. BLAS can round two
+    identical rows (a repeated token) apart in that product, so each row answers
+    for the first row with the same bytes.
+    """
+    if cand.shape[0] == 0:
         raise ValueError("empty candidate list")
-    q = _values(query)
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        return 0
-    sims = np.zeros(rows.shape[0], dtype=np.float64)
+    first: dict[bytes, int] = {}
+    first_of = np.array([first.setdefault(r.tobytes(), i) for i, r in enumerate(cand)])
+    norms = np.linalg.norm(cand, axis=1)
     nonzero = norms != 0.0
-    sims[nonzero] = (rows[nonzero] @ q) / (norms[nonzero] * qn)
-    return int(np.argmax(sims))
-
-
-def build_augmented_sequence(
-    conditioned: Sequence[str],
-    conditioning: Sequence[str],
-    lib: EmbeddingLibrary,
-    window: int = DEFAULT_OOV_WINDOW,
-) -> AugmentedSequence:
-    """For each token of `conditioned`, pair its vector with the most cosine-similar
-    token vector of `conditioning`."""
-    if len(conditioned) == 0 or len(conditioning) == 0:
-        raise EmptySentenceError("cannot match against an empty sentence")
-    cand = [lookup_with_oov(lib, conditioning, s, window) for s in range(len(conditioning))]
-    rows = np.stack([c.values for c in cand])
-    norms = np.linalg.norm(rows, axis=1)
-    steps = []
-    for t in range(len(conditioned)):
-        own = lookup_with_oov(lib, conditioned, t, window)
-        idx = match_fast(own, rows, norms)
-        steps.append(AugmentedStep(own=own, matched=cand[idx], matched_index=idx))
-    return AugmentedSequence(
-        steps=steps,
-        matched_indices=[s.matched_index for s in steps],
-        step_dim=2 * lib.dim,
-    )
+    rows, row_norms = cand[nonzero], norms[nonzero]
+    sims = np.zeros(cand.shape[0])
+    out = np.zeros(own.shape[0], dtype=np.intp)
+    for t, q in enumerate(own):
+        qn = np.linalg.norm(q)
+        if qn != 0.0:
+            sims[nonzero] = (rows @ q) / (row_norms * qn)
+            out[t] = first_of[np.argmax(sims)]
+    return out

@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .data import SentencePair, LABEL_NAMES
-from .embeddings import DEFAULT_OOV_WINDOW, EmbeddingLibrary
-from .matching import AugmentedSequence, build_augmented_sequence
+from .embeddings import DEFAULT_OOV_WINDOW, EmbeddingLibrary, embed_sentence
+from .matching import EmptySentenceError, match_indices
 from .numerics import sigmoid, sigmoid_grad, softmax, tanh_grad
 
 N_LABELS = 3
@@ -143,6 +143,13 @@ def _glorot(rng: np.random.Generator, rows: int, shape: tuple[int, int]) -> np.n
     return rng.uniform(-limit, limit, size=shape)
 
 
+def parameter_count(config: ModelConfig) -> int:
+    """Number of float64 values in a model of `config`, as zero_model lays it out."""
+    k = config.k
+    lstms = 2 if config.biway else 1
+    return lstms * len(GATES) * k * (config.input_dim + k + 1) + N_LABELS * (lstms * k + 1)
+
+
 def zero_model(config: ModelConfig) -> Model:
     """A model with every parameter zero, in the shapes `config` implies."""
     k, n = config.k, config.input_dim + config.k
@@ -242,16 +249,16 @@ def decide(softmax_params: SoftmaxParams, h: np.ndarray) -> tuple[np.ndarray, in
 
 def augment_pair(
     pair: SentencePair, lib: EmbeddingLibrary, config: ModelConfig
-) -> tuple[AugmentedSequence, Optional[AugmentedSequence]]:
-    """Matching step: hypothesis|premise always, premise|hypothesis when biway."""
-    z_h = build_augmented_sequence(
-        pair.hypothesis_tokens, pair.premise_tokens, lib, window=config.oov_window
-    )
-    z_p = None
-    if config.biway:
-        z_p = build_augmented_sequence(
-            pair.premise_tokens, pair.hypothesis_tokens, lib, window=config.oov_window
-        )
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Matching step: the (m, 2d) rows [own || matched] of hypothesis|premise
+    always, and of premise|hypothesis when biway. Each sentence is resolved once
+    and both directions share it."""
+    if not pair.premise_tokens or not pair.hypothesis_tokens:
+        raise EmptySentenceError("cannot match against an empty sentence")
+    prem = embed_sentence(lib, pair.premise_tokens, config.oov_window)
+    hyp = embed_sentence(lib, pair.hypothesis_tokens, config.oov_window)
+    z_h = np.hstack([hyp, prem[match_indices(hyp, prem)]])
+    z_p = np.hstack([prem, hyp[match_indices(prem, hyp)]]) if config.biway else None
     return z_h, z_p
 
 
@@ -286,9 +293,7 @@ def forward(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Full forward pass: matching, encoding, decision."""
     z_h, z_p = augment_pair(pair, lib, model.config)
-    return forward_from_sequences(
-        model, z_h.vectors(), z_p.vectors() if z_p is not None else None, train, rng
-    )
+    return forward_from_sequences(model, z_h, z_p, train, rng)
 
 
 def _bptt(params: LstmParams, trace: EncodeTrace, dh_last: np.ndarray) -> LstmParams:

@@ -173,8 +173,7 @@ def train(
                 for idx in batch:
                     pair = train_pairs[idx]
                     probs, trace = forward(model, pair, lib, train=True, rng=rng)
-                    p_gold = max(probs[pair.label - 1], LOG_FLOOR)
-                    loss = -np.log(p_gold)
+                    loss = cross_entropy([probs], [pair.label])
                     if not np.isfinite(loss):
                         raise DivergenceError(
                             f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"

@@ -13,9 +13,10 @@ import pytest
 from helpers import random_library, random_pairs
 from maxcosine.cli import load_library
 from maxcosine.data import load_snli
+from maxcosine.embeddings import embed_sentence
 from maxcosine.ensemble import Ensemble, predict_ensemble
 from maxcosine.gradcheck import model_gradient_check
-from maxcosine.matching import build_augmented_sequence, match_fast, match_word
+from maxcosine.matching import match_indices, match_word
 from maxcosine.model import decide, forward, init_model
 from maxcosine.numerics import make_rng, softmax
 from maxcosine.training import AdamState, TrainConfig, adam_step, cross_entropy, train
@@ -27,6 +28,11 @@ def report(criterion: int, ok: bool, detail: str = ""):
         line += f": {detail}"
     print(line)
     assert ok, line
+
+
+def matched(conditioned, conditioning, lib) -> list[int]:
+    own, cand = embed_sentence(lib, conditioned), embed_sentence(lib, conditioning)
+    return match_indices(own, cand).tolist()
 
 
 def test_criterion_1_gradient_correctness():
@@ -54,7 +60,7 @@ def test_criterion_2_matcher_oracle_equivalence():
         n, d = int(rng.integers(1, 10)), int(rng.integers(2, 8))
         rows = rng.standard_normal((n, d))
         q = rng.standard_normal(d)
-        if match_fast(q, rows, np.linalg.norm(rows, axis=1)) != match_word(q, list(rows)):
+        if match_indices(q[None], rows)[0] != match_word(q, list(rows)):
             fast_ok = False
             break
     lib = random_library(rng, n_words=18, dim=6)
@@ -63,14 +69,16 @@ def test_criterion_2_matcher_oracle_equivalence():
     for _ in range(50):
         cond = [str(w) for w in rng.choice(words, size=int(rng.integers(2, 6)))]
         against = [str(w) for w in rng.choice(words, size=int(rng.integers(2, 6)))]
-        got = build_augmented_sequence(cond, against, lib).matched_indices
+        got = matched(cond, against, lib)
         oracle = [
             match_word(lib.vector(c), [lib.vector(x) for x in against]) for c in cond
         ]
         if got != oracle:
             seq_ok = False
             break
-    report(2, fast_ok and seq_ok, "match_fast == match_word (200), sequence == O(m*n) oracle (50)")
+    report(
+        2, fast_ok and seq_ok, "match_indices == match_word (200), sequence == O(m*n) oracle (50)"
+    )
 
 
 def test_criterion_3_softmax_cross_entropy_identities():
@@ -165,9 +173,7 @@ def test_criterion_7_scale_invariance():
     for _ in range(100):
         cond = [str(w) for w in rng.choice(words, size=int(rng.integers(3, 7)))]
         against = [str(w) for w in rng.choice(words, size=int(rng.integers(3, 7)))]
-        a = build_augmented_sequence(cond, against, lib).matched_indices
-        b = build_augmented_sequence(cond, against, doubled).matched_indices
-        if a != b:
+        if matched(cond, against, lib) != matched(cond, against, doubled):
             ok = False
             break
     report(7, ok, "matched indices unchanged under 2x embedding scaling (100 pairs)")

@@ -62,12 +62,24 @@ def test_embed_convert_round_trip(workspace, capsys):
     assert load_binary_format(binary).vocab == a.vocab
 
 
+MATCH_PINNED = [
+    (["w0 w1 w2", "w3 w4"], ["w3 -> w0 (0.2550)", "w4 -> w1 (0.9146)"]),
+    # OOV tokens on both sides and repeated tokens; window 1 leaves the premise's
+    # "zz" and "qq" as zero vectors, and an all-OOV hypothesis has zero queries
+    (["w5 xx w1 w5 yy zz qq", "w3 oov w3 w9"],
+     ["w3 -> xx (0.1752)", "oov -> w5 (0.2032)", "w3 -> xx (0.1752)", "w9 -> w5 (0.4000)"]),
+    (["w5 xx w1 w5 yy zz qq", "w3 oov w3 w9", "--oov-window", "1"],
+     ["w3 -> xx (0.1471)", "oov -> xx (0.1471)", "w3 -> xx (0.1471)", "w9 -> w5 (0.4000)"]),
+    (["w2 w7", "aa bb"], ["aa -> w2 (0.0000)", "bb -> w2 (0.0000)"]),
+]
+
+
 def test_match_command(workspace, capsys):
+    """One line per hypothesis token, pinned byte for byte."""
     _, emb, _ = workspace
-    assert main(["match", "w0 w1 w2", "w3 w4", "--embeddings", str(emb)]) == 0
-    out = capsys.readouterr().out.strip().split("\n")
-    assert len(out) == 2  # one line per hypothesis token
-    assert all("->" in line and "(" in line for line in out)
+    for args, expected in MATCH_PINNED:
+        assert main(["match", *args, "--embeddings", str(emb)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_gradcheck_command(capsys):
@@ -126,6 +138,15 @@ def test_eval_dimension_mismatch_fails(workspace, tmp_path, capsys):
     rc = main(["eval", str(out_dir / "model.ckpt"), str(data), "--embeddings", str(wrong_emb)])
     assert rc == 1
     assert "dimension" in capsys.readouterr().err
+
+
+def test_eval_bad_manifest_fails(workspace, capsys):
+    tmp_path, emb, data = workspace
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"members": 3}')
+    assert main(["eval", str(bad), str(data), "--embeddings", str(emb)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: bad manifest") and "Traceback" not in err
 
 
 def test_ensemble_train_and_eval(workspace, capsys):

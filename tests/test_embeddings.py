@@ -6,12 +6,11 @@ import pytest
 from maxcosine.embeddings import (
     EmbeddingFormatError,
     EmbeddingLibrary,
-    VectorSource,
     concat_libraries,
     cosine,
+    embed_sentence,
     load_binary_format,
     load_text_format,
-    lookup_with_oov,
     save_binary_format,
     save_text_format,
 )
@@ -176,25 +175,18 @@ class TestOovLookup:
         )
 
     def test_in_vocab(self):
-        wv = lookup_with_oov(self.lib(), ["a", "x"], 0)
-        assert wv.source is VectorSource.IN_VOCAB
-        assert np.array_equal(wv.values, [1.0, 0.0])
+        rows = embed_sentence(self.lib(), ["a", "x"])
+        assert np.array_equal(rows[0], [1.0, 0.0])
 
     def test_oov_averages_neighbors(self):
-        wv = lookup_with_oov(self.lib(), ["a", "x", "b"], 1, window=2)
-        assert wv.source is VectorSource.OOV_AVERAGED
-        assert np.allclose(wv.values, [0.5, 0.5])
+        rows = embed_sentence(self.lib(), ["a", "x", "b"], window=2)
+        assert np.allclose(rows[1], [0.5, 0.5])
 
     def test_all_neighbors_oov(self):
-        wv = lookup_with_oov(self.lib(), ["q", "x", "r"], 1, window=2)
-        assert wv.source is VectorSource.ZERO
-        assert np.array_equal(wv.values, np.zeros(2))
+        rows = embed_sentence(self.lib(), ["q", "x", "r"], window=2)
+        assert np.array_equal(rows, np.zeros((3, 2)))
 
     def test_window_limits_neighbors(self):
         # "a" sits outside the +-1 window of position 2
-        wv = lookup_with_oov(self.lib(), ["a", "q", "x", "b"], 2, window=1)
-        assert np.allclose(wv.values, [0.0, 1.0])
-
-    def test_position_out_of_range(self):
-        with pytest.raises(IndexError):
-            lookup_with_oov(self.lib(), ["a"], 3)
+        rows = embed_sentence(self.lib(), ["a", "q", "x", "b"], window=1)
+        assert np.allclose(rows[2], [0.0, 1.0])

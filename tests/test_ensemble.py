@@ -1,12 +1,17 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from helpers import random_library, random_pairs
 from maxcosine.ensemble import (
     Ensemble,
+    ManifestError,
     load_ensemble,
     predict_ensemble,
     save_ensemble,
+    save_manifest,
     train_ensemble,
 )
 from maxcosine.model import decide, forward, init_model
@@ -117,3 +122,33 @@ class TestManifest:
         for ma, mb in zip(group.members, back.members):
             for name, arr in ma.parameters().items():
                 assert np.array_equal(arr, mb.parameters()[name])
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        '{"members": [{"seed": 1}]}',
+        '{"members": 3}',
+        '[{"checkpoint": "a.ckpt"}]',
+        '{"members": [',
+        '{"members": []}',
+    ], ids=["empty_object", "entry_without_checkpoint", "members_not_a_list", "top_level_list",
+            "invalid_json", "no_members"])
+    def test_bad_manifest_raises_manifest_error(self, tmp_path, text):
+        path = tmp_path / "ensemble.json"
+        path.write_text(text)
+        with pytest.raises(ManifestError, match=re.escape(str(path))):
+            load_ensemble(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ensemble.json"
+        save_manifest(path, ["a.ckpt"], [1])
+        before = path.read_bytes()
+
+        def failing_dumps(*args, **kwargs):
+            raise OSError("disk full")
+
+        # raises inside the write, after the temporary file is open
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        with pytest.raises(OSError, match="disk full"):
+            save_manifest(path, ["b.ckpt"], [2])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ensemble.json"]

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import random_library
-from maxcosine.embeddings import cosine
-from maxcosine.matching import (
-    EmptySentenceError,
-    build_augmented_sequence,
-    match_fast,
-    match_word,
-)
+from maxcosine.data import SentencePair
+from maxcosine.embeddings import cosine, embed_sentence
+from maxcosine.matching import EmptySentenceError, match_indices, match_word
+from maxcosine.model import ModelConfig, augment_pair
 from maxcosine.numerics import make_rng
 
 
@@ -20,6 +17,16 @@ def naive_match(query, candidates):
         if sim > best_sim:
             best, best_sim = i, sim
     return best
+
+
+def matched(conditioned, conditioning, lib):
+    """Matched indices of conditioned|conditioning at the default OOV window."""
+    own, cand = embed_sentence(lib, conditioned), embed_sentence(lib, conditioning)
+    return match_indices(own, cand).tolist()
+
+
+def match_one(query, rows):
+    return int(match_indices(np.asarray(query, float)[None], np.asarray(rows, float))[0])
 
 
 class TestMatchWord:
@@ -42,56 +49,59 @@ class TestMatchWord:
 
 
 class TestMatchFast:
+    """match_indices, one query row at a time, against match_word's rules."""
+
     def test_agrees_with_match_word_on_random_instances(self):
         rng = make_rng(11)
         for _ in range(200):
-            n, d = int(rng.integers(1, 9)), int(rng.integers(2, 6))
-            rows = rng.standard_normal((n, d))
-            q = rng.standard_normal(d)
-            norms = np.linalg.norm(rows, axis=1)
-            assert match_fast(q, rows, norms) == match_word(q, list(rows))
+            m, n, d = int(rng.integers(1, 5)), int(rng.integers(1, 9)), int(rng.integers(2, 6))
+            own, rows = rng.standard_normal((m, d)), rng.standard_normal((n, d))
+            assert match_indices(own, rows).tolist() == [match_word(q, list(rows)) for q in own]
 
     def test_single_candidate(self):
-        rows = np.array([[0.5, 0.5]])
-        assert match_fast(np.array([1.0, 0.0]), rows, np.linalg.norm(rows, axis=1)) == 0
+        assert match_one([1.0, 0.0], [[0.5, 0.5]]) == 0
 
     def test_zero_norm_candidate_loses_to_positive_similarity(self):
-        rows = np.array([[0.0, 0.0], [1.0, 0.5]])
-        assert match_fast(np.array([1.0, 0.0]), rows, np.linalg.norm(rows, axis=1)) == 1
+        assert match_one([1.0, 0.0], [[0.0, 0.0], [1.0, 0.5]]) == 1
 
     def test_zero_norm_candidate_beats_negative_similarity(self):
         # similarity 0 (the zero-vector convention) outranks a negative cosine,
-        # keeping match_fast consistent with argmax over match_word's values
+        # keeping match_indices consistent with argmax over match_word's values
         rows = np.array([[0.0, 0.0], [-1.0, 0.0]])
-        norms = np.linalg.norm(rows, axis=1)
         q = np.array([1.0, 0.0])
-        assert match_fast(q, rows, norms) == match_word(q, list(rows)) == 0
+        assert match_one(q, rows) == match_word(q, list(rows)) == 0
 
     def test_all_zero_candidates(self):
-        rows = np.zeros((3, 2))
-        assert match_fast(np.array([1.0, 0.0]), rows, np.zeros(3)) == 0
+        assert match_one([1.0, 0.0], np.zeros((3, 2))) == 0
 
     def test_zero_query(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert match_fast(np.zeros(2), rows, np.linalg.norm(rows, axis=1)) == 0
+        assert match_one(np.zeros(2), [[1.0, 0.0], [0.0, 1.0]]) == 0
+
+    def test_identical_rows_tie_to_smallest_index_at_paper_width(self):
+        # BLAS products round identical rows apart at some positions, at d = 300
+        # for a matvec per query as for one product over all queries
+        for n in range(2, 40):
+            v = make_rng(n).standard_normal(300)
+            cand = np.tile(v, (n, 1))
+            cand[n // 2] = -v  # a distinct row in between the copies
+            own = np.vstack([v, 2.0 * v, v])
+            assert match_indices(own, cand).tolist() == [0, 0, 0], n
 
 
 class TestAugmentedSequence:
     def test_shapes(self):
         rng = make_rng(1)
         lib = random_library(rng, n_words=10, dim=7)
-        seq = build_augmented_sequence(["w0", "w1", "w2", "w3"], ["w4", "w5"], lib)
-        assert len(seq) == 4
-        assert seq.step_dim == 14
-        assert seq.vectors().shape == (4, 14)
-        assert all(0 <= i < 2 for i in seq.matched_indices)
+        pair = SentencePair(("w4", "w5"), ("w0", "w1", "w2", "w3"), label=1, id=0)
+        z_h, z_p = augment_pair(pair, lib, ModelConfig(embedding_dim=7, k=1, biway=True))
+        assert z_h.shape == (4, 14) and z_p.shape == (2, 14)
+        assert all(0 <= i < 2 for i in matched(pair.hypothesis_tokens, pair.premise_tokens, lib))
 
     def test_identical_sentences_match_self(self):
         rng = make_rng(2)
         lib = random_library(rng, n_words=12, dim=6)
         tokens = ["w0", "w1", "w2", "w3", "w4"]
-        seq = build_augmented_sequence(tokens, tokens, lib)
-        for t, idx in enumerate(seq.matched_indices):
+        for t, idx in enumerate(matched(tokens, tokens, lib)):
             matched_sim = cosine(lib.vector(tokens[t]), lib.vector(tokens[idx]))
             assert matched_sim == pytest.approx(1.0, abs=1e-12)
 
@@ -102,19 +112,19 @@ class TestAugmentedSequence:
         for _ in range(50):
             cond = [str(w) for w in rng.choice(words, size=int(rng.integers(2, 7)))]
             against = [str(w) for w in rng.choice(words, size=int(rng.integers(2, 7)))]
-            seq = build_augmented_sequence(cond, against, lib)
             expected = [
                 naive_match(lib.vector(c), [lib.vector(x) for x in against]) for c in cond
             ]
-            assert seq.matched_indices == expected
+            assert matched(cond, against, lib) == expected
 
     def test_empty_sides_rejected(self):
         rng = make_rng(4)
         lib = random_library(rng, n_words=4, dim=3)
+        config = ModelConfig(embedding_dim=3, k=1, biway=True)
         with pytest.raises(EmptySentenceError):
-            build_augmented_sequence([], ["w0"], lib)
+            augment_pair(SentencePair((), ("w0",), label=1, id=0), lib, config)
         with pytest.raises(EmptySentenceError):
-            build_augmented_sequence(["w0"], [], lib)
+            augment_pair(SentencePair(("w0",), (), label=1, id=0), lib, config)
 
     def test_argmax_invariant_under_global_scaling(self):
         rng = make_rng(5)
@@ -124,14 +134,57 @@ class TestAugmentedSequence:
         for _ in range(30):
             cond = [str(w) for w in rng.choice(words, size=4)]
             against = [str(w) for w in rng.choice(words, size=5)]
-            a = build_augmented_sequence(cond, against, lib).matched_indices
-            b = build_augmented_sequence(cond, against, scaled).matched_indices
-            assert a == b
+            assert matched(cond, against, lib) == matched(cond, against, scaled)
 
     def test_directions_are_independent(self):
         rng = make_rng(6)
         lib = random_library(rng, n_words=10, dim=4)
         y = ["w0", "w1", "w2"]
         x = ["w3", "w4", "w5", "w6"]
-        assert len(build_augmented_sequence(y, x, lib)) == 3
-        assert len(build_augmented_sequence(x, y, lib)) == 4
+        assert len(matched(y, x, lib)) == 3
+        assert len(matched(x, y, lib)) == 4
+
+
+def oracle_vector(lib, tokens, t, window):
+    """One token's vector by the per-token rule, neighbours averaged as a list."""
+    if tokens[t] in lib.vocab:
+        return lib.vector(tokens[t])
+    span = range(max(0, t - window), min(len(tokens), t + window + 1))
+    near = [lib.vector(tokens[j]) for j in span if j != t and tokens[j] in lib.vocab]
+    return np.mean(near, axis=0) if near else np.zeros(lib.dim)
+
+
+def oracle_sequence(conditioned, conditioning, lib, window):
+    own = [oracle_vector(lib, conditioned, t, window) for t in range(len(conditioned))]
+    cand = [oracle_vector(lib, conditioning, s, window) for s in range(len(conditioning))]
+    return np.stack([np.concatenate([v, cand[match_word(v, cand)]]) for v in own])
+
+
+@pytest.mark.parametrize("biway", [False, True])
+def test_augment_pair_equals_per_token_oracle(biway):
+    rng = make_rng(30)
+    lib = random_library(rng, n_words=40, dim=300)
+    words = lib.words()[:12] + ["oovA", "oovB", "oovC"]  # repeats, and OOV tokens
+    config = ModelConfig(embedding_dim=300, k=1, biway=biway, oov_window=2)
+    pairs = [
+        # every neighbour within the window is OOV: zero vectors on both sides
+        SentencePair(("oovA", "oovB", "w1", "w1", "oovC", "oovA", "oovB"),
+                     ("oovC", "oovA", "oovB", "w2", "w1"), label=1, id=0),
+    ]
+    for i in range(60):
+        prem = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(1, 16))))
+        hyp = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(1, 10))))
+        pairs.append(SentencePair(prem, hyp, label=1, id=i + 1))
+    zero_rows = 0
+    for pair in pairs:
+        z_h, z_p = augment_pair(pair, lib, config)
+        want_h = oracle_sequence(pair.hypothesis_tokens, pair.premise_tokens, lib, 2)
+        assert z_h.tobytes() == want_h.tobytes()
+        zero_rows += int(np.sum(~z_h.any(axis=1)))
+        if biway:
+            want_p = oracle_sequence(pair.premise_tokens, pair.hypothesis_tokens, lib, 2)
+            assert z_p.tobytes() == want_p.tobytes()
+        else:
+            assert z_p is None
+    assert zero_rows > 0
+

@@ -9,12 +9,14 @@ import pytest
 
 from helpers import random_library, random_pairs
 from maxcosine.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from maxcosine.data import SentencePair
 from maxcosine.embeddings import EmbeddingLibrary
 from maxcosine.gradcheck import model_gradient_check
 from maxcosine.model import (
     Model,
     ModelConfig,
     SoftmaxParams,
+    augment_pair,
     backward,
     decide,
     dropout_mask,
@@ -225,17 +227,14 @@ class TestForward:
         lib = EmbeddingLibrary(
             {w: i for i, w in enumerate(vecs)}, np.array(list(vecs.values()))
         )
-        from maxcosine.matching import build_augmented_sequence
-
-        hyp = ["john", "passed", "the", "exam"]
-        prem1 = ["john", "failed", "to", "pass", "the", "exam"]
-        prem2 = ["john", "succeeded", "in", "passing", "the", "exam"]
-        hyp_given_1 = build_augmented_sequence(hyp, prem1, lib)
-        hyp_given_2 = build_augmented_sequence(hyp, prem2, lib)
-        assert np.array_equal(hyp_given_1.vectors(), hyp_given_2.vectors())
-        prem1_given_hyp = build_augmented_sequence(prem1, hyp, lib)
-        prem2_given_hyp = build_augmented_sequence(prem2, hyp, lib)
-        assert not np.array_equal(prem1_given_hyp.vectors(), prem2_given_hyp.vectors())
+        hyp = ("john", "passed", "the", "exam")
+        prem1 = ("john", "failed", "to", "pass", "the", "exam")
+        prem2 = ("john", "succeeded", "in", "passing", "the", "exam")
+        config = ModelConfig(embedding_dim=d, k=1, biway=True)
+        hyp_given_1, prem1_given_hyp = augment_pair(SentencePair(prem1, hyp, 1, 0), lib, config)
+        hyp_given_2, prem2_given_hyp = augment_pair(SentencePair(prem2, hyp, 1, 0), lib, config)
+        assert np.array_equal(hyp_given_1, hyp_given_2)
+        assert not np.array_equal(prem1_given_hyp, prem2_given_hyp)
 
 
 class TestBackward:
@@ -324,14 +323,37 @@ class TestCheckpoint:
         lambda data: data + b"\x00",
         lambda data: _edit_header(data, lambda h: h["arrays"][0].update(name="lstm_h.W_x")),
         lambda data: _edit_header(data, lambda h: h["arrays"][0]["shape"].reverse()),
+        lambda data: _edit_header(data, lambda h: h["config"].update(k=1000000)),
     ], ids=["short_header", "bad_json", "unknown_config_key", "trailing_bytes",
-            "renamed_array", "reshaped_array"])
+            "renamed_array", "reshaped_array", "huge_k"])
     def test_corrupt_file_raises_checkpoint_error(self, tmp_path, corrupt):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, small_model(d=4, k=3))
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, small_model(d=4, k=3))
+        before = path.read_bytes()
+        model = small_model(d=4, k=3, seed=1)
+        params = model.parameters()
+        params["softmax.b_s"] = Unwritable()  # the last array, after the others are written
+        monkeypatch.setattr(model, "parameters", lambda: params)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+class Unwritable:
+    """A parameter whose bytes cannot be produced."""
+
+    shape = (3,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("disk full")
 
 
 def _edit_header(data, edit):
