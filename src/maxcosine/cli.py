@@ -169,13 +169,14 @@ def cmd_train(args) -> int:
     for required in ("train_path", "val_path", "out_dir"):
         if required not in cfg:
             raise CliError(f"missing required setting {required}")
+    config = build_train_config(cfg)  # rejects bad values before the slow loads
     lib = load_libraries(cfg)
     train_pairs = _load_pairs(cfg["train_path"], cfg.get("max_train_pairs"))
     val_pairs = _load_pairs(cfg["val_path"], cfg.get("max_val_pairs"))
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     result = train(
-        train_pairs, val_pairs, build_train_config(cfg), lib,
+        train_pairs, val_pairs, config, lib,
         metrics_path=out_dir / "metrics.tsv", verbose=True,
     )
     ckpt.save_checkpoint(out_dir / "model.ckpt", result.best_model)
@@ -252,13 +253,14 @@ def cmd_ensemble_train(args) -> int:
         if required not in cfg:
             raise CliError(f"missing required setting {required}")
     seeds = [int(s) for s in str(cfg["seeds"]).split(",") if s.strip()]
+    config = build_train_config(cfg)
     lib = load_libraries(cfg)
     train_pairs = _load_pairs(cfg["train_path"], cfg.get("max_train_pairs"))
     val_pairs = _load_pairs(cfg["val_path"], cfg.get("max_val_pairs"))
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     group, results = ens.train_ensemble(
-        build_train_config(cfg), seeds, train_pairs, val_pairs, lib,
+        config, seeds, train_pairs, val_pairs, lib,
         workers=cfg.get("workers", 1), metrics_dir=out_dir if out_dir else None,
     )
     manifest = ens.save_ensemble(group, out_dir, seeds)

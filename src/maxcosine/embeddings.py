@@ -3,6 +3,7 @@ concatenation of two libraries, and windowed OOV averaging."""
 
 from __future__ import annotations
 
+import os
 import warnings
 from typing import Optional, Sequence
 
@@ -130,6 +131,13 @@ def load_binary_format(path) -> EmbeddingLibrary:
             raise EmbeddingFormatError(f"{path}: malformed header {bytes(header)!r}") from None
         if count < 1 or dim < 1:
             raise EmbeddingFormatError(f"{path}: bad header counts {count} {dim}")
+        # a record is at least a space and 4*dim bytes; check before allocating
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * (4 * dim + 1) > left:
+            raise EmbeddingFormatError(
+                f"{path}: truncated: header declares {count} records of dimension {dim}, "
+                f"but only {left} bytes follow it"
+            )
         vocab: dict[str, int] = {}
         rows = np.empty((count, dim), dtype=np.float64)
         dupes = 0

@@ -14,7 +14,7 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, augment_pair, forward_from_sequences
+from .model import Model, augment_pair, forward_batch
 from .training import TrainConfig, TrainResult, train
 
 
@@ -81,8 +81,8 @@ def predict_ensemble(
     output when all members agree bitwise. Members differ only in seed, so the
     pair is matched once for all of them.
     """
-    z_h, z_p = augment_pair(pair, lib, ensemble.members[0].config)
-    member_probs = [forward_from_sequences(m, z_h, z_p)[0] for m in ensemble.members]
+    seqs = [augment_pair(pair, lib, ensemble.members[0].config)]
+    member_probs = [forward_batch(m, seqs)[0][0] for m in ensemble.members]
     n = len(member_probs)
     mean = np.empty(3)
     for j in range(3):

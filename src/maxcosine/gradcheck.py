@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, augment_pair, backward, forward_from_sequences
+from .model import Model, augment_pair, backward, forward_batch
 from .numerics import gradient_check
 
 
@@ -36,32 +36,26 @@ def model_gradient_check(
         raise ValueError("gradient check requires dropout_rate 0")
     params = model.parameters()
     # matching does not depend on the trainable parameters, so sequences are fixed
-    seqs = [(*augment_pair(pair, lib, model.config), pair.label) for pair in pairs]
+    seqs = [augment_pair(pair, lib, model.config) for pair in pairs]
+    labels = [pair.label for pair in pairs]
 
     # the difference quotient cancels ~10 leading digits, so the objective runs in
     # extended precision on a shadow copy; the analytic side stays plain float64
     shadow = _cast_model(model, np.longdouble)
     shadow_params = shadow.parameters()
-    seqs_ld = [
-        (Z_h.astype(np.longdouble), Z_p.astype(np.longdouble) if Z_p is not None else None, gold)
-        for Z_h, Z_p, gold in seqs
-    ]
+    seqs_ld = [tuple(None if Z is None else Z.astype(np.longdouble) for Z in seq) for seq in seqs]
 
     def objective(theta: np.ndarray) -> float:
         _write_back(shadow_params, theta)
+        probs, _ = forward_batch(shadow, seqs_ld)
         total = np.longdouble(0.0)
-        for Z_h, Z_p, gold in seqs_ld:
-            probs, _ = forward_from_sequences(shadow, Z_h, Z_p)
-            total -= np.log(probs[gold - 1])
-        return total / len(seqs_ld)
+        for row, gold in zip(probs, labels):
+            total -= np.log(row[gold - 1])
+        return total / len(labels)
 
     theta0 = _flatten(params).astype(np.longdouble)
-    grad_sum = {name: np.zeros_like(a) for name, a in params.items()}
-    for Z_h, Z_p, gold in seqs:
-        _, trace = forward_from_sequences(model, Z_h, Z_p)
-        for name, g in backward(model, trace, gold).items():
-            grad_sum[name] += g
-    analytic = _flatten(grad_sum) / len(seqs)
+    _, trace = forward_batch(model, seqs)
+    analytic = _flatten(backward(model, trace, labels)) / len(seqs)
     return gradient_check(objective, theta0, analytic, h=h)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,16 +76,23 @@ class SoftmaxParams:
 
 
 @dataclass
-class EncodeTrace:
-    """Per-timestep activations cached by the forward pass for BPTT."""
+class LstmTrace:
+    """Activations of one LSTM over a packed batch, cached for BPTT.
 
-    H: np.ndarray        # (m, input_dim + k) concatenated [dropped z_t || h_{t-1}]
-    gates: np.ndarray    # (m, 4k) gate activations i, f, o (sigmoid) and c (tanh)
-    c: np.ndarray        # (m, k)
+    The batch's sequences are sorted by length, longest first (stable), and laid
+    out time-major: rows `steps[t]:steps[t+1]` are timestep t of the sequences
+    still running, so the sequence of sorted rank j is at row `steps[t] + j`.
+    """
+
+    H: np.ndarray        # (N, input_dim + k) rows [dropped z_t || h_{t-1}]
+    gates: np.ndarray    # (N, 4k) gate activations i, f, o (sigmoid) and c (tanh)
+    c: np.ndarray        # (N, k)
     tanh_c: np.ndarray
     h: np.ndarray
-    out_mask: Optional[np.ndarray]  # (k,) inverted-dropout mask on h_m, or None
-    h_final: np.ndarray  # h_m after output dropout (train) or identity (eval)
+    steps: np.ndarray    # (T + 1,) first row of each timestep, then N
+    order: np.ndarray    # (B,) batch index of each sorted rank
+    out_mask: Optional[np.ndarray]  # (B, k) inverted-dropout mask on the final h, or None
+    h_final: np.ndarray  # (B, k) in batch order, after output dropout (train)
 
     def __len__(self) -> int:
         return self.H.shape[0]
@@ -93,10 +100,10 @@ class EncodeTrace:
 
 @dataclass
 class ForwardTrace:
-    enc_h: EncodeTrace                 # hypothesis-conditioned-on-premise encoder
-    enc_p: Optional[EncodeTrace]       # premise-conditioned-on-hypothesis (biway)
-    h_out: np.ndarray                  # vector fed to the softmax layer
-    probabilities: np.ndarray
+    enc_h: LstmTrace                   # hypothesis-conditioned-on-premise encoder
+    enc_p: Optional[LstmTrace]         # premise-conditioned-on-hypothesis (biway)
+    h_out: np.ndarray                  # (B, k) or (B, 2k) rows fed to the softmax layer
+    probabilities: np.ndarray          # (B, 3)
 
 
 class Model:
@@ -186,65 +193,70 @@ def dropout_mask(rng: np.random.Generator, size, rate: float) -> np.ndarray:
     return (rng.random(size) >= rate) / (1.0 - rate)
 
 
-def encode_sequence(
-    params: LstmParams,
-    Z: np.ndarray,
-    dropout_rate: float,
-    train: bool,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, EncodeTrace]:
-    """Run the LSTM over the (m, input_dim) augmented sequence from zero state.
+def lstm_forward(
+    params: LstmParams, Zs: Sequence[np.ndarray], out_mask: Optional[np.ndarray] = None
+) -> LstmTrace:
+    """Run the LSTM from zero state over a batch of (m_b, input_dim) sequences.
 
-    Train mode applies inverted dropout to each input and to the final hidden
-    state; eval mode is deterministic and dropout-free. The input projection of
-    the whole sequence is one product; the recurrence adds `W_h @ h` per step.
+    The inputs arrive with any input dropout applied; `out_mask` (B, k), if
+    given, multiplies each final hidden state. The input projection of all rows
+    is one product, and each timestep is one `(n_t, k) @ (k, 4k)` product over
+    the n_t sequences still running. The dtype follows the inputs.
     """
-    m = Z.shape[0]
-    if m == 0:
-        raise ValueError("empty sequence")
     k, n_in = params.hidden_size, params.input_dim
-    if Z.shape[1] != n_in:
-        raise ValueError(f"input length {Z.shape[1]} != expected {n_in}")
-    drop = train and dropout_rate > 0.0
-    if drop and rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    dt = np.result_type(Z.dtype, params.W.dtype, np.float64)
-    Hs = np.zeros((m, n_in + k), dtype=dt)
-    # one mask row per timestep, drawn in timestep order
-    Hs[:, :n_in] = Z * dropout_mask(rng, Z.shape, dropout_rate) if drop else Z
-    gates = Hs[:, :n_in] @ params.W[:, :n_in].T + params.b
-    W_h = params.W[:, n_in:]
-    cs, tanh_cs, hs = (np.empty((m, k), dtype=dt) for _ in range(3))
-    h = np.zeros(k, dtype=dt)
-    c = np.zeros(k, dtype=dt)
-    for t in range(m):
-        Hs[t, n_in:] = h
-        a = gates[t]
-        a += W_h @ h
-        a[: 3 * k] = sigmoid(a[: 3 * k])
-        a[3 * k :] = np.tanh(a[3 * k :])
-        i, f, o, g = a.reshape(len(GATES), k)
-        c = f * c + i * g
-        tanh_cs[t] = np.tanh(c)
-        h = o * tanh_cs[t]
-        cs[t], hs[t] = c, h
-    out_mask = dropout_mask(rng, k, dropout_rate) if drop else None
-    h_final = h * out_mask if drop else h
-    trace = EncodeTrace(
-        H=Hs, gates=gates, c=cs, tanh_c=tanh_cs, h=hs, out_mask=out_mask, h_final=h_final
+    for Z in Zs:
+        if Z.ndim != 2 or Z.shape[1] != n_in:
+            raise ValueError(f"input shape {Z.shape} != (m, {n_in})")
+    lengths = np.array([Z.shape[0] for Z in Zs], dtype=np.intp)
+    if lengths.size == 0 or lengths.min() == 0:
+        raise ValueError("empty sequence")
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
+    B, T, N = len(Zs), ranked[0], int(lengths.sum())
+    # running[t] = number of sequences longer than t
+    running = B - np.cumsum(np.bincount(lengths, minlength=T))[:T]
+    steps = np.concatenate(([0], np.cumsum(running)))
+    dt = np.result_type(params.W.dtype, np.float64, *(Z.dtype for Z in Zs))
+    H = np.zeros((N, n_in + k), dtype=dt)
+    for j, b in enumerate(order):
+        H[steps[: ranked[j]] + j, :n_in] = Zs[b]
+    gates = np.matmul(H[:, :n_in], params.W[:, :n_in].T)
+    gates += params.b
+    W_hT = params.W[:, n_in:].T
+    c, tanh_c, h = (np.empty((N, k), dtype=dt) for _ in range(3))
+    for t in range(T):
+        r0, r1 = steps[t], steps[t + 1]
+        a = gates[r0:r1]
+        if t:
+            prev = slice(steps[t - 1], steps[t - 1] + r1 - r0)  # the same sequences at t - 1
+            h_prev = H[r0:r1, n_in:]
+            h_prev[...] = h[prev]
+            a += h_prev @ W_hT
+        a[:, : 3 * k] = sigmoid(a[:, : 3 * k])
+        a[:, 3 * k :] = np.tanh(a[:, 3 * k :])
+        i, f, o, g = (a[:, j * k : (j + 1) * k] for j in range(len(GATES)))
+        np.multiply(i, g, out=c[r0:r1])
+        if t:
+            c[r0:r1] += f * c[prev]
+        np.tanh(c[r0:r1], out=tanh_c[r0:r1])
+        np.multiply(o, tanh_c[r0:r1], out=h[r0:r1])
+    h_last = np.empty((B, k), dtype=dt)
+    h_last[order] = h[steps[ranked - 1] + np.arange(B)]
+    return LstmTrace(
+        H=H, gates=gates, c=c, tanh_c=tanh_c, h=h, steps=steps, order=order,
+        out_mask=out_mask, h_final=h_last if out_mask is None else h_last * out_mask,
     )
-    return h_final, trace
 
 
-def decide(softmax_params: SoftmaxParams, h: np.ndarray) -> tuple[np.ndarray, int]:
-    """Linear layer + softmax; label is the 1-based argmax, ties to the smaller index."""
-    if h.shape[0] != softmax_params.W_s.shape[1]:
+def decide(softmax_params: SoftmaxParams, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear layer + softmax over the last axis of `h`, one (k,) vector or a
+    (B, k) batch; labels are the 1-based argmax, ties to the smaller index."""
+    if h.shape[-1] != softmax_params.W_s.shape[1]:
         raise ValueError(
-            f"hidden length {h.shape[0]} != softmax width {softmax_params.W_s.shape[1]}"
+            f"hidden length {h.shape[-1]} != softmax width {softmax_params.W_s.shape[1]}"
         )
-    p = softmax_params.W_s @ h + softmax_params.b_s
-    probs = softmax(p)
-    return probs, int(np.argmax(probs)) + 1
+    probs = softmax(h @ softmax_params.W_s.T + softmax_params.b_s)
+    return probs, np.argmax(probs, axis=-1) + 1
 
 
 def augment_pair(
@@ -262,26 +274,45 @@ def augment_pair(
     return z_h, z_p
 
 
-def forward_from_sequences(
+def forward_batch(
     model: Model,
-    Z_h: np.ndarray,
-    Z_p: Optional[np.ndarray],
+    seqs: Sequence[tuple[np.ndarray, Optional[np.ndarray]]],
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
+    """(B, 3) probabilities of a batch of `augment_pair` outputs.
+
+    Train mode applies inverted dropout to every input row and to each final
+    hidden state. The masks are drawn pair by pair before encoding, in the order
+    hypothesis input, hypothesis output, premise input, premise output, so a
+    seeded stream is read the same whatever the batch size. Eval mode is
+    deterministic and dropout-free.
+    """
     cfg = model.config
-    rate = cfg.dropout_rate
-    h_h, enc_h = encode_sequence(model.lstm_h, Z_h, rate, train, rng)
-    if cfg.biway:
-        if Z_p is None:
-            raise ValueError("biway forward needs the premise-side sequence")
-        h_p, enc_p = encode_sequence(model.lstm_p, Z_p, rate, train, rng)
-        h_out = np.concatenate([h_p, h_h])  # premise-side first
-    else:
-        enc_p = None
-        h_out = h_h
+    lstms = [model.lstm_h, model.lstm_p] if cfg.biway else [model.lstm_h]
+    if cfg.biway and any(z_p is None for _, z_p in seqs):
+        raise ValueError("biway forward needs the premise-side sequence")
+    inputs = [[seq[side] for seq in seqs] for side in range(len(lstms))]
+    out_masks = [None] * len(lstms)
+    if train and cfg.dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("train-mode dropout needs an rng")
+        rate, masks = cfg.dropout_rate, [[] for _ in lstms]
+        for b in range(len(seqs)):
+            for side, Zs in enumerate(inputs):
+                dropped = dropout_mask(rng, Zs[b].shape, rate)
+                dropped *= Zs[b]
+                Zs[b] = dropped
+                masks[side].append(dropout_mask(rng, cfg.k, rate))
+        out_masks = [np.stack(m) for m in masks]
+    enc = [lstm_forward(p, Zs, mask) for p, Zs, mask in zip(lstms, inputs, out_masks)]
+    # premise side first in the biway softmax input
+    h_out = np.hstack([enc[1].h_final, enc[0].h_final]) if cfg.biway else enc[0].h_final
     probs, _ = decide(model.softmax, h_out)
-    return probs, ForwardTrace(enc_h=enc_h, enc_p=enc_p, h_out=h_out, probabilities=probs)
+    trace = ForwardTrace(
+        enc_h=enc[0], enc_p=enc[1] if cfg.biway else None, h_out=h_out, probabilities=probs
+    )
+    return probs, trace
 
 
 def forward(
@@ -291,61 +322,76 @@ def forward(
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Full forward pass: matching, encoding, decision."""
-    z_h, z_p = augment_pair(pair, lib, model.config)
-    return forward_from_sequences(model, z_h, z_p, train, rng)
+    """Full forward pass of one pair, a batch of one: matching, encoding,
+    decision. Returns its (3,) probabilities."""
+    probs, trace = forward_batch(model, [augment_pair(pair, lib, model.config)], train, rng)
+    return probs[0], trace
 
 
-def _bptt(params: LstmParams, trace: EncodeTrace, dh_last: np.ndarray) -> LstmParams:
-    """Gradients of `params` given dL/dh_m, laid out like `params`."""
-    k = params.hidden_size
-    W_hT = params.W[:, params.input_dim :].T
-    dA = np.empty((len(trace), len(GATES) * k))
-    dh = dh_last
-    dc = np.zeros(k)
-    for t in range(len(trace) - 1, -1, -1):
-        i, f, o, g = trace.gates[t].reshape(len(GATES), k)
-        tanh_c = trace.tanh_c[t]
-        c_prev = trace.c[t - 1] if t > 0 else np.zeros(k)
-        dc = dc + dh * o * tanh_grad(tanh_c)
-        da_i, da_f, da_o, da_c = dA[t].reshape(len(GATES), k)
-        da_i[:] = dc * g * sigmoid_grad(i)
-        da_f[:] = dc * c_prev * sigmoid_grad(f)
-        da_o[:] = dh * tanh_c * sigmoid_grad(o)
-        da_c[:] = dc * i * tanh_grad(g)
-        dh = W_hT @ dA[t]
-        dc = dc * f
-    return LstmParams(W=dA.T @ trace.H, b=dA.sum(axis=0))
+def lstm_backward(
+    params: LstmParams, trace: LstmTrace, dh_final: np.ndarray, out: LstmParams
+) -> None:
+    """Write into `out` the gradients of `params` over the whole batch, given
+    dL/dh_final (B, k) in batch order. Each BPTT step is one
+    `(n_t, 4k) @ (4k, k)` product, and the weight gradient one `dA^T @ H`."""
+    k, n_in = params.hidden_size, params.input_dim
+    steps, dt = trace.steps, trace.H.dtype
+    running = np.diff(steps)
+    dh_last = dh_final if trace.out_mask is None else dh_final * trace.out_mask
+    dh_last = dh_last[trace.order]
+    W_h = params.W[:, n_in:]
+    dA = np.empty((len(trace), len(GATES) * k), dtype=dt)
+    dh, dc = (np.empty((len(trace.order), k), dtype=dt) for _ in range(2))
+    for t in range(len(running) - 1, -1, -1):
+        r0, r1, n = steps[t], steps[t + 1], running[t]
+        # the sequences of ranks [ended, n) take their last step here
+        ended = running[t + 1] if t + 1 < len(running) else 0
+        dh[ended:n] = dh_last[ended:n]
+        dc[ended:n] = 0.0
+        dh_t, dc_t = dh[:n], dc[:n]
+        i, f, o, g = (trace.gates[r0:r1, j * k : (j + 1) * k] for j in range(len(GATES)))
+        tanh_c = trace.tanh_c[r0:r1]
+        dc_t += dh_t * o * tanh_grad(tanh_c)
+        da_i, da_f, da_o, da_c = (dA[r0:r1, j * k : (j + 1) * k] for j in range(len(GATES)))
+        da_i[...] = dc_t * g * sigmoid_grad(i)
+        if t:
+            da_f[...] = dc_t * trace.c[steps[t - 1] : steps[t - 1] + n] * sigmoid_grad(f)
+        else:
+            da_f[...] = 0.0
+        da_o[...] = dh_t * tanh_c * sigmoid_grad(o)
+        da_c[...] = dc_t * i * tanh_grad(g)
+        if t:
+            np.matmul(dA[r0:r1], W_h, out=dh_t)
+        dc_t *= f
+    np.matmul(dA.T, trace.H, out=out.W)
+    np.sum(dA, axis=0, out=out.b)
 
 
-def backward(model: Model, trace: ForwardTrace, gold_label: int) -> dict[str, np.ndarray]:
-    """Gradients of the cross-entropy loss for one pair, keyed like parameters().
+def backward(
+    model: Model, trace: ForwardTrace, labels: Sequence[int], out: Optional[Model] = None
+) -> dict[str, np.ndarray]:
+    """Gradients of the cross-entropy loss summed over the batch, keyed like
+    parameters(). They are written into `out`, a `zero_model` of the same
+    config, when given, and into a new one otherwise.
 
     Embedding vectors receive no gradient; they are fixed inputs.
     """
-    if gold_label not in LABEL_NAMES:
-        raise ValueError(f"invalid gold label {gold_label}")
     probs = trace.probabilities
+    if len(labels) != probs.shape[0]:
+        raise ValueError(f"{len(labels)} labels for a batch of {probs.shape[0]}")
+    for label in labels:
+        if label not in LABEL_NAMES:
+            raise ValueError(f"invalid gold label {label}")
+    if out is None:
+        out = zero_model(model.config)
     dp = probs.copy()
-    dp[gold_label - 1] -= 1.0
-    grads: dict[str, np.ndarray] = {
-        "softmax.W_s": np.outer(dp, trace.h_out),
-        "softmax.b_s": dp.copy(),
-    }
-    dh_out = model.softmax.W_s.T @ dp
+    dp[np.arange(len(labels)), np.asarray(labels) - 1] -= 1.0
+    np.matmul(dp.T, trace.h_out, out=out.softmax.W_s)
+    np.sum(dp, axis=0, out=out.softmax.b_s)
+    dh_out = dp @ model.softmax.W_s
     k = model.config.k
     if model.config.biway:
-        dh_p, dh_h = dh_out[:k], dh_out[k:]
-        if trace.enc_p.out_mask is not None:
-            dh_p = dh_p * trace.enc_p.out_mask
-        if trace.enc_h.out_mask is not None:
-            dh_h = dh_h * trace.enc_h.out_mask
-        for name, g in gate_views(_bptt(model.lstm_p, trace.enc_p, dh_p)).items():
-            grads[f"lstm_p.{name}"] = g
-    else:
-        dh_h = dh_out
-        if trace.enc_h.out_mask is not None:
-            dh_h = dh_h * trace.enc_h.out_mask
-    for name, g in gate_views(_bptt(model.lstm_h, trace.enc_h, dh_h)).items():
-        grads[f"lstm_h.{name}"] = g
-    return {name: grads[name] for name in model.parameters()}
+        lstm_backward(model.lstm_p, trace.enc_p, dh_out[:, :k], out.lstm_p)
+        dh_out = dh_out[:, k:]
+    lstm_backward(model.lstm_h, trace.enc_h, dh_out, out.lstm_h)
+    return out.parameters()

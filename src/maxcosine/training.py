@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -10,12 +11,22 @@ import numpy as np
 
 from .data import SentencePair
 from .embeddings import DEFAULT_OOV_WINDOW, EmbeddingLibrary
-from .model import Model, ModelConfig, backward, check_library_dim, forward, init_model
+from .model import (
+    Model,
+    ModelConfig,
+    augment_pair,
+    backward,
+    check_library_dim,
+    forward_batch,
+    init_model,
+    zero_model,
+)
 from .numerics import make_rng
 
 log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-300  # keeps the loss finite under pathological confidence
+EVAL_CHUNK = 64  # validation pairs per batch forward; bounds the trace's memory
 
 
 class DivergenceError(RuntimeError):
@@ -44,6 +55,12 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not (self.learning_rate > 0.0 and self.epsilon > 0.0):
+            raise ValueError("learning_rate and epsilon must be > 0")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
     def model_config(self, embedding_dim: int) -> ModelConfig:
         return ModelConfig(
@@ -74,6 +91,8 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    # two work arrays per parameter shape, shared by every parameter of that shape
+    scratch: dict[tuple, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -89,7 +108,10 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One in-place Adam update with bias correction."""
+    """One Adam update with bias correction, of `params`, `state.m` and `state.v`
+    in place. It does the textbook formula's operations in its order, so the
+    result is bitwise that of m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
+    theta -= lr m_hat / (sqrt(v_hat) + eps), without allocating per step."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient in {name}")
@@ -98,12 +120,24 @@ def adam_step(
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for name, theta in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        if theta.shape not in state.scratch:
+            state.scratch[theta.shape] = (np.empty_like(theta), np.empty_like(theta))
+        s, u = state.scratch[theta.shape]
+        np.multiply(g, 1.0 - b1, out=s)
+        m *= b1
+        m += s
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
+        v *= b2
+        v += s
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += config.epsilon
+        np.divide(m, bc1, out=u)
+        u *= config.learning_rate
+        u /= s
+        theta -= u
 
 
 @dataclass
@@ -131,10 +165,11 @@ class TrainResult:
 def evaluate(pairs: Sequence[SentencePair], model: Model, lib: EmbeddingLibrary) -> EvalResult:
     check_library_dim(model.config, lib)
     confusion = np.zeros((3, 3), dtype=np.int64)
-    for pair in pairs:
-        probs, _ = forward(model, pair, lib, train=False)
-        pred = int(np.argmax(probs)) + 1
-        confusion[pair.label - 1, pred - 1] += 1
+    for start in range(0, len(pairs), EVAL_CHUNK):
+        chunk = pairs[start : start + EVAL_CHUNK]
+        probs = forward_batch(model, [augment_pair(p, lib, model.config) for p in chunk])[0]
+        gold = [p.label - 1 for p in chunk]
+        np.add.at(confusion, (gold, np.argmax(probs, axis=1)), 1)
     total = len(pairs)
     accuracy = float(np.trace(confusion)) / total if total else 0.0
     return EvalResult(accuracy=accuracy, confusion=confusion, total=total)
@@ -156,6 +191,9 @@ def train(
     model = init_model(config.model_config(lib.dim), rng)
     params = model.parameters()
     state = AdamState.for_params(params)
+    # every batch's gradient is written into this one buffer
+    grad_model = zero_model(model.config)
+    grads = grad_model.parameters()
 
     best_model = model.copy()
     best_epoch = 0
@@ -165,33 +203,40 @@ def train(
     metrics_fh = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
         for epoch in range(1, config.epochs + 1):
+            started = time.perf_counter()
             order = rng.permutation(n)
             loss_sum = 0.0
             for start in range(0, n, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                grad_sum = {name: np.zeros_like(a) for name, a in params.items()}
-                for idx in batch:
-                    pair = train_pairs[idx]
-                    probs, trace = forward(model, pair, lib, train=True, rng=rng)
-                    loss = cross_entropy([probs], [pair.label])
-                    if not np.isfinite(loss):
-                        raise DivergenceError(
-                            f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                        )
+                batch = [train_pairs[i] for i in order[start : start + config.batch_size]]
+                seqs = [augment_pair(pair, lib, model.config) for pair in batch]
+                probs, trace = forward_batch(model, seqs, train=True, rng=rng)
+                losses = [cross_entropy([p], [pair.label]) for p, pair in zip(probs, batch)]
+                diverged = [pair.id for pair, loss in zip(batch, losses) if not np.isfinite(loss)]
+                if diverged:
+                    raise DivergenceError(
+                        f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}, "
+                        f"pairs {diverged}"
+                    )
+                for loss in losses:
                     loss_sum += loss
-                    for name, g in backward(model, trace, pair.label).items():
-                        grad_sum[name] += g
-                for name in grad_sum:
-                    grad_sum[name] /= len(batch)
-                adam_step(params, grad_sum, state, config)
+                backward(model, trace, [pair.label for pair in batch], out=grad_model)
+                del seqs, trace  # freed before the next batch's are built
+                for g in grads.values():
+                    g /= len(batch)
+                adam_step(params, grads, state, config)
+            trained = time.perf_counter()
             train_loss = loss_sum / n
             val = evaluate(val_pairs, model, lib)
+            validated = time.perf_counter()
             history.append(EpochMetrics(epoch, train_loss, val.accuracy))
             if metrics_fh:
                 metrics_fh.write(f"{epoch}\t{train_loss:.10f}\t{val.accuracy:.6f}\n")
                 metrics_fh.flush()
             if verbose:
-                log.info("epoch %d: train_loss=%.6f val_acc=%.4f", epoch, train_loss, val.accuracy)
+                log.info(
+                    "epoch %d: train_loss=%.6f val_acc=%.4f train_pairs_per_s=%.1f val_s=%.3f",
+                    epoch, train_loss, val.accuracy, n / (trained - started), validated - trained,
+                )
             if val.accuracy > best_acc:
                 best_acc = val.accuracy
                 best_epoch = epoch

@@ -87,6 +87,16 @@ def test_gradcheck_command(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["train", "ensemble-train"])
+def test_bad_train_config_rejected_before_loading(tmp_path, capsys, command):
+    # the embeddings and data paths do not exist: the config error must come first
+    missing = str(tmp_path / "missing")
+    rc = main([command, "--embeddings", missing, "--train-path", missing, "--val-path", missing,
+               "--out-dir", str(tmp_path / "run"), "--seeds", "1,2", "--epochs", "0"])
+    assert rc == 1
+    assert "epochs must be >= 1" in capsys.readouterr().err
+
+
 def test_train_predict_eval_cycle(workspace, capsys):
     tmp_path, emb, data = workspace
     out_dir = tmp_path / "run"

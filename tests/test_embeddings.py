@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -85,6 +86,12 @@ class TestBinaryFormat:
             fh.write(b"2 3\n")
             fh.write(b"cat " + struct.pack("<3f", 1.0, 2.0, 3.0))
         with pytest.raises(EmbeddingFormatError, match="truncated"):
+            load_binary_format(path)
+
+    def test_header_count_beyond_file_size(self, tmp_path):
+        path = tmp_path / "e.bin"
+        path.write_bytes(b"1000000000000 300\nw " + struct.pack("<300f", *range(300)))
+        with pytest.raises(EmbeddingFormatError, match=re.escape(str(path))):
             load_binary_format(path)
 
     def test_invalid_utf8_replaced(self, tmp_path):

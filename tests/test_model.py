@@ -20,9 +20,10 @@ from maxcosine.model import (
     backward,
     decide,
     dropout_mask,
-    encode_sequence,
     forward,
+    forward_batch,
     init_model,
+    lstm_forward,
 )
 from maxcosine.numerics import make_rng
 
@@ -81,34 +82,47 @@ def reference_lstm_step(params, z, h_prev, c_prev):
     return np.array(h), np.array(c)
 
 
+def packed_rows(trace, b):
+    """Rows of the batch's sequence `b` in a packed LstmTrace, in time order."""
+    rank = int(np.flatnonzero(trace.order == b)[0])
+    return trace.steps[:-1][np.diff(trace.steps) > rank] + rank
+
+
 class TestEncodeSequence:
     @pytest.mark.parametrize("train", [False, True])
     def test_matches_scalar_oracle(self, train):
         rng = make_rng(8)
-        model = small_model(d=2, k=3, seed=8)
-        Z = rng.standard_normal((6, 4))
-        h_final, trace = encode_sequence(model.lstm_h, Z, 0.4, train=train, rng=make_rng(9))
-        # the oracle draws the masks as one step at a time would: each input, then h_m
-        masks = make_rng(9)
-        h, c = np.zeros(3), np.zeros(3)
-        for t in range(len(Z)):
-            z = Z[t] * dropout_mask(masks, 4, 0.4) if train else Z[t]
-            h, c = reference_lstm_step(model.lstm_h, z, h, c)
-            assert np.max(np.abs(trace.h[t] - h)) < 1e-12
-            assert np.max(np.abs(trace.c[t] - c)) < 1e-12
-        expected = h * dropout_mask(masks, 3, 0.4) if train else h
-        assert np.max(np.abs(h_final - expected)) < 1e-12
+        model = small_model(d=2, k=3, dropout=0.4, seed=8)
+        # one sequence, then a batch of mixed lengths with a tie and a length 1
+        for lengths in ([6], [3, 1, 6, 6, 2]):
+            seqs = [(rng.standard_normal((m, 4)), None) for m in lengths]
+            _, trace = forward_batch(model, seqs, train=train, rng=make_rng(9))
+            enc = trace.enc_h
+            # the oracle draws the masks pair by pair as one step at a time would:
+            # each input, then h_m
+            masks = make_rng(9)
+            for b, (Z, _) in enumerate(seqs):
+                rows = packed_rows(enc, b)
+                h, c = np.zeros(3), np.zeros(3)
+                for t in range(len(Z)):
+                    z = Z[t] * dropout_mask(masks, 4, 0.4) if train else Z[t]
+                    h, c = reference_lstm_step(model.lstm_h, z, h, c)
+                    assert np.max(np.abs(enc.h[rows[t]] - h)) < 1e-12
+                    assert np.max(np.abs(enc.c[rows[t]] - c)) < 1e-12
+                expected = h * dropout_mask(masks, 3, 0.4) if train else h
+                assert np.max(np.abs(enc.h_final[b] - expected)) < 1e-12
 
     def test_zero_params_zero_state(self):
         model = small_model(d=3, k=4)
         model.lstm_h.W[...] = 0.0
-        h, trace = encode_sequence(model.lstm_h, np.ones((3, 6)), 0.0, train=False)
-        assert np.all(h == 0) and np.all(trace.c == 0)
+        trace = lstm_forward(model.lstm_h, [np.ones((3, 6)), np.ones((1, 6))])
+        assert np.all(trace.h_final == 0) and np.all(trace.c == 0)
 
     def test_gate_and_output_ranges(self):
         rng = make_rng(3)
         model = small_model(d=4, k=6)
-        _, trace = encode_sequence(model.lstm_h, rng.standard_normal((20, 8)), 0.0, train=False)
+        Zs = [rng.standard_normal((20, 8)), rng.standard_normal((5, 8))]
+        trace = lstm_forward(model.lstm_h, Zs)
         sigmoid_gates = trace.gates[:, : 3 * 6]
         assert np.all(sigmoid_gates > 0) and np.all(sigmoid_gates < 1)
         assert np.all(trace.h > -1) and np.all(trace.h < 1)
@@ -116,28 +130,29 @@ class TestEncodeSequence:
     def test_dimension_mismatch(self):
         model = small_model(d=3, k=4)
         with pytest.raises(ValueError):
-            encode_sequence(model.lstm_h, np.ones((2, 5)), 0.0, train=False)
+            lstm_forward(model.lstm_h, [np.ones((2, 6)), np.ones((2, 5))])
 
     def test_dropout_zero_train_equals_eval(self):
         rng = make_rng(0)
         model = small_model(d=3, k=4)
-        Z = rng.standard_normal((5, 6))
-        h_train, _ = encode_sequence(model.lstm_h, Z, 0.0, train=True, rng=make_rng(1))
-        h_eval, _ = encode_sequence(model.lstm_h, Z, 0.0, train=False)
-        assert np.array_equal(h_train, h_eval)
+        seqs = [(rng.standard_normal((m, 6)), None) for m in (5, 2)]
+        p_train, t_train = forward_batch(model, seqs, train=True, rng=make_rng(1))
+        p_eval, t_eval = forward_batch(model, seqs, train=False)
+        assert np.array_equal(t_train.enc_h.h_final, t_eval.enc_h.h_final)
+        assert np.array_equal(p_train, p_eval)
 
     def test_eval_ignores_rate_and_rng(self):
         rng = make_rng(0)
-        model = small_model(d=3, k=4)
-        Z = rng.standard_normal((4, 6))
-        a, _ = encode_sequence(model.lstm_h, Z, 0.5, train=False)
-        b, _ = encode_sequence(model.lstm_h, Z, 0.0, train=False)
+        seqs = [(rng.standard_normal((m, 6)), None) for m in (4, 1)]
+        a, _ = forward_batch(small_model(d=3, k=4, dropout=0.5), seqs, rng=make_rng(1))
+        b, _ = forward_batch(small_model(d=3, k=4, dropout=0.0), seqs)
         assert np.array_equal(a, b)
 
     def test_empty_sequence(self):
         model = small_model(d=3, k=4)
-        with pytest.raises(ValueError):
-            encode_sequence(model.lstm_h, np.zeros((0, 6)), 0.0, train=False)
+        for Zs in ([np.zeros((0, 6))], [np.ones((2, 6)), np.zeros((0, 6))], []):
+            with pytest.raises(ValueError):
+                lstm_forward(model.lstm_h, Zs)
 
     def test_inverted_dropout_expectation(self):
         # per-coordinate mean of the mask over many draws stays near 1
@@ -150,9 +165,39 @@ class TestEncodeSequence:
         rng = make_rng(0)
         model = small_model(d=3, k=4)
         Z = rng.standard_normal((7, 6))
-        _, trace = encode_sequence(model.lstm_h, Z, 0.0, train=True, rng=make_rng(2))
+        trace = lstm_forward(model.lstm_h, [Z])
         assert len(trace) == 7
         assert trace.h.shape == (7, 4)
+        # time-major, longest first: timesteps 0-2 hold both sequences, then only the longer
+        trace = lstm_forward(model.lstm_h, [Z[:3], Z])
+        assert len(trace) == 10 and trace.order.tolist() == [1, 0]
+        assert trace.steps.tolist() == [0, 2, 4, 6, 7, 8, 9, 10]
+
+
+@pytest.mark.parametrize("biway", [False, True])
+@pytest.mark.parametrize("lengths", [[1, 1, 1], [4, 4, 4], [7, 3, 1, 5], [2, 1, 4, 7]],
+                         ids=["ones", "equal", "longest_first", "longest_last"])
+def test_batch_gradient_is_mean_of_single_pair_gradients(lengths, biway):
+    rng = make_rng(30)
+    model = small_model(d=3, k=5, biway=biway, dropout=0.3, seed=30)
+    seqs = [
+        (rng.standard_normal((m_h, 6)), rng.standard_normal((m_p, 6)) if biway else None)
+        for m_h, m_p in zip(lengths, lengths[::-1])
+    ]
+    labels = [int(x) for x in rng.integers(1, 4, len(seqs))]
+    _, trace = forward_batch(model, seqs, train=True, rng=make_rng(1))
+    batch = backward(model, trace, labels)
+    # one pair at a time from the same stream draws the same masks
+    singles = make_rng(1)
+    total = {name: 0.0 for name in batch}
+    for seq, label in zip(seqs, labels):
+        _, one = forward_batch(model, [seq], train=True, rng=singles)
+        for name, g in backward(model, one, [label]).items():
+            total[name] = total[name] + g
+    assert all(np.any(total[f"{lstm}.W_i"]) for lstm in ("lstm_h", "lstm_p")[: 1 + biway])
+    for name, g in batch.items():
+        ref = total[name] / len(seqs)
+        assert np.max(np.abs(g / len(seqs) - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 class TestDecide:
@@ -246,7 +291,7 @@ class TestBackward:
         model.softmax.W_s[...] = 0.0
         model.softmax.b_s[...] = 0.0
         _, trace = forward(model, pair, lib, train=True, rng=make_rng(0))
-        grads = backward(model, trace, gold_label=2)
+        grads = backward(model, trace, [2])
         expected = np.full(3, 1 / 3)
         expected[1] -= 1.0
         assert np.allclose(grads["softmax.b_s"], expected, atol=1e-12)
@@ -280,7 +325,7 @@ class TestBackward:
         model = small_model(d=6, k=4)
         _, trace = forward(model, pair, lib, train=True, rng=make_rng(0))
         with pytest.raises(ValueError):
-            backward(model, trace, gold_label=0)
+            backward(model, trace, [0])
 
 
 class TestCheckpoint:

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from helpers import random_library, random_pairs
-from maxcosine.model import init_model
+from maxcosine import training
+from maxcosine.model import augment_pair, dropout_mask, init_model
 from maxcosine.numerics import make_rng
 from maxcosine.training import (
     AdamState,
@@ -84,6 +87,37 @@ class TestAdam:
         with pytest.raises(DivergenceError):
             adam_step(params, {"theta": np.array([np.nan])}, state, self.cfg())
 
+    def test_bitwise_equal_to_textbook_formula(self):
+        rng = make_rng(3)
+        cfg = TrainConfig(learning_rate=0.01)
+        # two parameters of one shape share the work arrays
+        params = {name: rng.standard_normal(shape) for name, shape in
+                  (("W_a", (4, 5)), ("W_b", (4, 5)), ("b", (5,)))}
+        state = AdamState.for_params(params)
+        theta = {name: a.copy() for name, a in params.items()}
+        m = {name: np.zeros_like(a) for name, a in params.items()}
+        v = {name: np.zeros_like(a) for name, a in params.items()}
+        for t in (1, 2, 3):
+            grads = {name: rng.standard_normal(a.shape) for name, a in params.items()}
+            adam_step(params, grads, state, cfg)
+            for name, g in grads.items():
+                m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
+                v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
+                m_hat = m[name] / (1 - cfg.beta1**t)
+                v_hat = v[name] / (1 - cfg.beta2**t)
+                theta[name] = theta[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+                assert np.array_equal(state.m[name], m[name])
+                assert np.array_equal(state.v[name], v[name])
+                assert np.array_equal(params[name], theta[name])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 0), ("learning_rate", -1.0), ("learning_rate", 0.0), ("epsilon", 0.0), ("k", 0),
+])
+def test_train_config_rejects_nonsense(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
 
 def memorization_setup(n_pairs=12, seed=5, dim=16):
     rng = make_rng(seed)
@@ -132,10 +166,57 @@ class TestTrain:
             assert np.isfinite(float(loss))
             assert 0.0 <= float(acc) <= 1.0
 
+    def test_verbose_log_has_epoch_timing(self, tmp_path, caplog):
+        lib, pairs = memorization_setup()
+        path = tmp_path / "metrics.tsv"
+        with caplog.at_level("INFO", logger="maxcosine.training"):
+            train(pairs, pairs[:4], self.small_config(), lib, metrics_path=path, verbose=True)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 2
+        for line in lines:
+            assert re.search(r"train_pairs_per_s=\d+\.\d val_s=\d+\.\d{3}$", line), line
+        assert all(len(row.split("\t")) == 3 for row in path.read_text().splitlines())
+
     def test_empty_dataset_rejected(self):
         lib, pairs = memorization_setup()
         with pytest.raises(ValueError):
             train([], pairs, self.small_config(), lib)
+
+    def test_nonfinite_loss_names_pairs(self, monkeypatch):
+        lib, pairs = memorization_setup()
+
+        def poisoned(config, rng):
+            model = init_model(config, rng)
+            model.softmax.W_s[0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(training, "init_model", poisoned)
+        with pytest.raises(DivergenceError, match="epoch 1, batch 0") as err:
+            train(pairs, pairs[:4], self.small_config(batch_size=len(pairs)), lib)
+        named = re.search(r"pairs \[([\d, ]+)\]", str(err.value)).group(1)
+        assert sorted(int(i) for i in named.split(",")) == sorted(p.id for p in pairs)
+
+    @pytest.mark.parametrize("biway", [False, True])
+    def test_batch_reads_dropout_stream_in_pair_order(self, monkeypatch, biway):
+        lib, pairs = memorization_setup(n_pairs=6)
+        cfg = self.small_config(k=5, batch_size=6, epochs=1, dropout_rate=0.3, biway=biway)
+        used, calls = [], []
+        monkeypatch.setattr(training, "make_rng", lambda seed: used.append(make_rng(seed)) or used[-1])
+        real = training.forward_batch
+        monkeypatch.setattr(training, "forward_batch",
+                            lambda *a, **kw: calls.append(real(*a, **kw)) or calls[-1])
+        train(pairs, pairs[:2], cfg, lib)
+        # the reference draws each pair's masks as a batch of one would, in the
+        # order hypothesis input, hypothesis output, premise input, premise output
+        ref = make_rng(cfg.seed)
+        model = init_model(cfg.model_config(lib.dim), ref)
+        trace = calls[0][1]  # the training batch; validation follows it
+        encoders = [trace.enc_h, trace.enc_p][: 2 if biway else 1]
+        for b, i in enumerate(ref.permutation(len(pairs))):
+            for Z, enc in zip(augment_pair(pairs[i], lib, model.config), encoders):
+                dropout_mask(ref, Z.shape, 0.3)
+                assert np.array_equal(enc.out_mask[b], dropout_mask(ref, 5, 0.3))
+        assert used[0].bit_generator.state == ref.bit_generator.state
 
     def test_best_checkpoint_selection_prefers_earlier_on_tie(self):
         lib, pairs = memorization_setup()
