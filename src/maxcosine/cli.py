@@ -134,10 +134,16 @@ def load_library(path, fmt: str = "auto") -> EmbeddingLibrary:
     if fmt == "auto":
         fmt = _detect_format(path)
     if fmt == "binary":
-        return load_binary_format(path)
-    if fmt == "text":
-        return load_text_format(path)
-    raise CliError(f"unknown embedding format {fmt!r}")
+        lib = load_binary_format(path)
+    elif fmt == "text":
+        lib = load_text_format(path)
+    else:
+        raise CliError(f"unknown embedding format {fmt!r}")
+    log.info(
+        "%s: %d words, dimension %d, %d duplicates dropped",
+        path, len(lib), lib.dim, lib.duplicates_dropped,
+    )
+    return lib
 
 
 def load_libraries(cfg: dict) -> EmbeddingLibrary:

@@ -17,7 +17,8 @@ class EmbeddingFormatError(ValueError):
 
 
 class EmbeddingLibrary:
-    """Immutable word -> float64 vector table with precomputed row norms."""
+    """Immutable word -> float64 vector table; `duplicates_dropped` counts the
+    repeated words its file held, of which the first occurrence was kept."""
 
     def __init__(self, vocab: dict[str, int], matrix: np.ndarray, duplicates_dropped: int = 0):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -30,8 +31,6 @@ class EmbeddingLibrary:
         self.vocab = dict(vocab)
         self.matrix = matrix
         self.matrix.setflags(write=False)
-        self.norms = np.linalg.norm(matrix, axis=1)
-        self.norms.setflags(write=False)
         self.duplicates_dropped = duplicates_dropped
 
     @property
@@ -54,7 +53,7 @@ class EmbeddingLibrary:
         return self.matrix[self.vocab[word]]
 
     def scaled(self, c: float) -> "EmbeddingLibrary":
-        return EmbeddingLibrary(self.vocab, self.matrix * c)
+        return EmbeddingLibrary(self.vocab, self.matrix * c, self.duplicates_dropped)
 
 
 def cosine(x: np.ndarray, y: np.ndarray) -> float:
@@ -69,18 +68,30 @@ def cosine(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y) / (nx * ny))
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def load_text_format(path, expected_dim: Optional[int] = None) -> EmbeddingLibrary:
-    """Load `word v1 v2 ... vd` lines; first occurrence of a word wins."""
+    """Load `word v1 v2 ... vd` lines; first occurrence of a word wins.
+
+    The first line fixes d. After it a word may contain spaces (840B GloVe has
+    `. . .`): each line's last d fields are the vector and the rest is the word,
+    unless the rest ends in a number, which makes the line one of surplus components."""
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim = None
     dupes = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
+            parts = line.split() if dim is None else line.rsplit(maxsplit=dim)
             if not parts:
                 continue
-            word, fields = parts[0], parts[1:]
+            word, fields = parts[0].strip(), parts[1:]
             if dim is None:
                 dim = len(fields)
                 if dim == 0:
@@ -89,10 +100,13 @@ def load_text_format(path, expected_dim: Optional[int] = None) -> EmbeddingLibra
                     raise EmbeddingFormatError(
                         f"{path}:{lineno}: dimension {dim} != expected {expected_dim}"
                     )
-            elif len(fields) != dim:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: inconsistent dimension {len(fields)} (expected {dim})"
-                )
+            else:
+                head = word.split()
+                if len(fields) != dim or (len(head) > 1 and _is_number(head[-1])):
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: inconsistent dimension "
+                        f"{len(head) - 1 + len(fields)} (expected {dim})"
+                    )
             if word in vocab:
                 dupes += 1
                 continue
@@ -113,22 +127,63 @@ def save_text_format(lib: EmbeddingLibrary, path) -> None:
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 
+# Bytes read at a time; the buffer grows past it only for a longer record. It stays
+# under glibc's default 128 KiB mmap threshold: freeing larger buffers raises that
+# threshold, and the heap then keeps ~2 MiB more resident through the training
+# that follows a load.
+_BLOCK = 1 << 16
+_HEADER_MAX = 1 << 10
+
+
+def _decode(path, raw: bytes, n: int) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        warnings.warn(f"{path}: invalid UTF-8 in word at record {n}; bytes replaced")
+        return raw.decode("utf-8", errors="replace")
+
+
+def _add_block(path, vocab: dict[str, int], raw_words: list, vectors: list, rows) -> int:
+    """Append one block's records to `vocab` and `rows`, the first occurrence of a word
+    winning; returns the number of duplicates dropped."""
+    n = len(vocab)
+    try:
+        # a word holds no space, so one decode of the joined words splits back exactly
+        words = b" ".join(raw_words).decode("utf-8").split(" ")
+    except UnicodeDecodeError:
+        block = {}
+    else:
+        block = dict(zip(words, range(n, n + len(words))))
+    if len(block) == len(raw_words) and vocab.keys().isdisjoint(block):
+        vocab.update(block)
+        kept = vectors
+    else:
+        kept = []
+        for raw, vec in zip(raw_words, vectors):
+            word = _decode(path, raw, len(vocab))
+            if word not in vocab:
+                vocab[word] = len(vocab)
+                kept.append(vec)
+    if kept:
+        rows[n : len(vocab)] = np.frombuffer(b"".join(kept), dtype="<f4").reshape(len(kept), -1)
+    return len(raw_words) - len(kept)
+
+
 def load_binary_format(path) -> EmbeddingLibrary:
-    """Load the `|V| d\\n` header + (word SP d*float32-LE [LF]) record format."""
+    """Load the `|V| d\\n` header + (word SP d*float32-LE [LF]) record format.
+
+    The header line may be at most `_HEADER_MAX` bytes long. The records are read
+    in blocks of `_BLOCK` bytes, never the whole file at once."""
     with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            b = fh.read(1)
-            if not b:
-                raise EmbeddingFormatError(f"{path}: truncated header")
-            if b == b"\n":
-                break
-            header += b
+        header = fh.readline(_HEADER_MAX)
+        if not header.endswith(b"\n"):
+            raise EmbeddingFormatError(f"{path}: truncated header")
+        header = header[:-1]
         try:
             count_s, dim_s = header.split()
             count, dim = int(count_s), int(dim_s)
         except ValueError:
-            raise EmbeddingFormatError(f"{path}: malformed header {bytes(header)!r}") from None
+            raise EmbeddingFormatError(f"{path}: malformed header {header!r}") from None
         if count < 1 or dim < 1:
             raise EmbeddingFormatError(f"{path}: bad header counts {count} {dim}")
         # a record is at least a space and 4*dim bytes; check before allocating
@@ -141,43 +196,45 @@ def load_binary_format(path) -> EmbeddingLibrary:
         vocab: dict[str, int] = {}
         rows = np.empty((count, dim), dtype=np.float64)
         dupes = 0
-        n = 0
+        buf, pos, eof = b"", 0, False
+        words: list[bytes] = []
+        vectors: list[memoryview] = []
         for _ in range(count):
-            word_bytes = bytearray()
             while True:
-                b = fh.read(1)
-                if not b:
-                    raise EmbeddingFormatError(f"{path}: truncated at record {n}")
-                if b == b" ":
+                sp = buf.find(b" ", pos)
+                end = sp + 1 + 4 * dim
+                # a whole record, and the byte after it to tell whether an LF ends it
+                if sp >= 0 and (end < len(buf) or (eof and end == len(buf))):
                     break
-                word_bytes += b
-            try:
-                word = word_bytes.decode("utf-8")
-            except UnicodeDecodeError:
-                word = word_bytes.decode("utf-8", errors="replace")
-                warnings.warn(f"{path}: invalid UTF-8 in word at record {n}; bytes replaced")
-            raw = fh.read(4 * dim)
-            if len(raw) != 4 * dim:
-                raise EmbeddingFormatError(f"{path}: truncated vector at record {n}")
-            vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+                dupes += _add_block(path, vocab, words, vectors, rows)
+                words, vectors = [], []
+                if eof:
+                    if sp < 0:
+                        raise EmbeddingFormatError(f"{path}: truncated at record {len(vocab)}")
+                    _decode(path, buf[pos:sp], len(vocab))  # a bad word warns before its vector
+                    raise EmbeddingFormatError(f"{path}: truncated vector at record {len(vocab)}")
+                more = fh.read(max(_BLOCK, len(buf) - pos))
+                buf, pos, eof = buf[pos:] + more, 0, not more
+                view = memoryview(buf)
+            words.append(buf[pos:sp])
+            vectors.append(view[sp + 1 : end])
             # optional record separator
-            pos = fh.tell()
-            nxt = fh.read(1)
-            if nxt and nxt != b"\n":
-                fh.seek(pos)
-            if word in vocab:
-                dupes += 1
-                continue
-            vocab[word] = n
-            rows[n] = vec
-            n += 1
-    return EmbeddingLibrary(vocab, rows[:n], duplicates_dropped=dupes)
+            pos = end + 1 if end < len(buf) and buf[end] == 0x0A else end
+        dupes += _add_block(path, vocab, words, vectors, rows)
+    return EmbeddingLibrary(vocab, rows[: len(vocab)], duplicates_dropped=dupes)
 
 
 def save_binary_format(lib: EmbeddingLibrary, path) -> None:
+    words = lib.words()
+    spaced = next((w for w in words if " " in w), None)
+    if spaced is not None:
+        # the loader ends a word at its first space
+        raise EmbeddingFormatError(
+            f"{path}: the binary format cannot hold a word with a space: {spaced!r}"
+        )
     with open(path, "wb") as fh:
         fh.write(f"{len(lib)} {lib.dim}\n".encode("ascii"))
-        for word, row in zip(lib.words(), lib.matrix):
+        for word, row in zip(words, lib.matrix):
             fh.write(word.encode("utf-8") + b" ")
             fh.write(row.astype("<f4").tobytes())
             fh.write(b"\n")

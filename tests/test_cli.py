@@ -1,11 +1,12 @@
 import json
+import logging
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxcosine.cli import build_parser, main, read_config_file, CliError
+from maxcosine.cli import build_parser, load_library, main, read_config_file, CliError
 from maxcosine.embeddings import load_binary_format, load_text_format
 from maxcosine.numerics import make_rng
 
@@ -46,6 +47,14 @@ def test_config_file_parsing(tmp_path):
     cfg.write_text("# comment\nepochs=3\nbiway=true\ndropout_rate=0.4  # inline\n")
     parsed = read_config_file(cfg)
     assert parsed == {"epochs": 3, "biway": True, "dropout_rate": 0.4}
+
+
+def test_load_library_logs_counts(tmp_path, caplog):
+    path = tmp_path / "e.txt"
+    path.write_text("cat 0.1 0.2\ndog 0.3 0.4\ncat 9 9\n")
+    with caplog.at_level(logging.INFO, logger="maxcosine.cli"):
+        load_library(path)
+    assert f"{path}: 2 words, dimension 2, 1 duplicates dropped" in caplog.messages
 
 
 def test_embed_convert_round_trip(workspace, capsys):

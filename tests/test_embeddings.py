@@ -1,9 +1,14 @@
 import re
 import struct
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import load_binary_oracle
+from maxcosine import embeddings
 from maxcosine.embeddings import (
     EmbeddingFormatError,
     EmbeddingLibrary,
@@ -50,6 +55,20 @@ class TestTextFormat:
     def test_expected_dim_mismatch(self, tmp_path):
         with pytest.raises(EmbeddingFormatError, match="expected"):
             load_text_format(write(tmp_path / "e.txt", "cat 0.1 0.2"), expected_dim=5)
+
+    def test_word_with_spaces(self, tmp_path):
+        lib = load_text_format(
+            write(tmp_path / "e.txt", "cat 0.1 0.2\n. . . 0.3 0.4\nat  x@y.com 0.5 0.6\n")
+        )
+        assert lib.words() == ["cat", ". . .", "at  x@y.com"]
+        assert np.array_equal(lib.vector(". . ."), [0.3, 0.4])
+
+    @pytest.mark.parametrize("line", ["dog 0.3", "dog 0.3 0.4 0.5", ". . . 0.3 0.4 0.5"])
+    def test_wrong_field_count_names_line(self, tmp_path, line):
+        # too few fields, or a number where a word with spaces would end
+        path = write(tmp_path / "e.txt", f"cat 0.1 0.2\n\n{line}\n")
+        with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}:3: inconsistent")):
+            load_text_format(path)
 
     def test_round_trip(self, tmp_path):
         rng = make_rng(0)
@@ -111,6 +130,106 @@ class TestBinaryFormat:
         back = load_binary_format(tmp_path / "out.bin")
         assert back.vocab == lib.vocab
         assert np.array_equal(back.matrix, lib.matrix)
+
+    def test_save_rejects_word_with_space(self, tmp_path):
+        lib = EmbeddingLibrary({"a": 0, ". . .": 1}, np.ones((2, 2)))
+        with pytest.raises(EmbeddingFormatError, match="space"):
+            save_binary_format(lib, tmp_path / "out.bin")
+        assert not (tmp_path / "out.bin").exists()
+
+
+# the pieces a record's word is drawn from: ASCII, non-ASCII, invalid UTF-8 (a lone
+# continuation byte, a cut-off lead byte, an encoded surrogate), LF and NUL
+WORD_PIECES = [
+    b"a", b"b", b"cat", "é".encode(), "日本".encode(), b"\x80", b"\xc3", b"\xed\xa0\x80", b"\n", b"\x00"
+]
+
+
+@st.composite
+def binary_files(draw, max_records=12):
+    """A well-formed binary embedding file: a header, then records whose words may
+    repeat and whose LF separator is present or not."""
+    dim = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.sampled_from(WORD_PIECES), max_size=3).map(b"".join),
+                         min_size=1, max_size=6))
+    records = draw(st.lists(st.tuples(st.sampled_from(pool),
+                                      st.binary(min_size=4 * dim, max_size=4 * dim),
+                                      st.booleans()),
+                            min_size=1, max_size=max_records))
+    body = b"".join(w + b" " + v + (b"\n" if lf else b"") for w, v, lf in records)
+    return f"{len(records)} {dim}\n".encode() + body
+
+
+def outcome(load, path):
+    """What a loader made of a file: the library or the error, and the loader's own
+    warnings (numpy's cast warning for a signalling NaN depends on which rows it casts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            lib = load(path)
+        except EmbeddingFormatError as exc:
+            result = ("error", str(exc))
+        else:
+            result = (lib.vocab, lib.matrix.tobytes(), lib.matrix.shape, lib.duplicates_dropped)
+    return result, [str(w.message) for w in caught if w.category is UserWarning]
+
+
+class TestBinaryAgainstOracle:
+    """`load_binary_format` reads in blocks; the byte-at-a-time reader in helpers is
+    the reference it must equal, errors and warnings included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=binary_files(), block=st.integers(1, 64))
+    def test_equals_oracle_on_well_formed_files(self, tmp_path_factory, data, block):
+        path = tmp_path_factory.getbasetemp() / "well_formed.bin"
+        path.write_bytes(data)
+        with mock.patch.object(embeddings, "_BLOCK", block):
+            got = outcome(load_binary_format, path)
+        assert got == outcome(load_binary_oracle, path)
+        assert got[0][0] != "error"
+
+    def test_equals_oracle_across_default_blocks(self, tmp_path):
+        rng = make_rng(4)
+        dim = 300
+        pool = [f"w{i}".encode() for i in range(200)] + ["é日".encode(), b"\xff\xfe", b""]
+        chunks = [b"1100 300\n"]
+        for _ in range(1100):
+            word = pool[int(rng.integers(len(pool)))]
+            vec = rng.standard_normal(dim).astype("<f4").tobytes()
+            chunks.append(word + b" " + vec + (b"\n" if rng.random() < 0.5 else b""))
+        path = tmp_path / "big.bin"
+        path.write_bytes(b"".join(chunks))
+        assert path.stat().st_size > embeddings._BLOCK
+        got = outcome(load_binary_format, path)
+        assert got == outcome(load_binary_oracle, path)
+        (vocab, _, _, dupes), warned = got
+        assert dupes > 0 and "é日" in vocab and warned
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=binary_files(max_records=5),
+           edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3),
+           cut=st.none() | st.integers(0, 200), block=st.integers(1, 64))
+    def test_damaged_file_ends_in_library_or_format_error(
+        self, tmp_path_factory, data, edits, cut, block
+    ):
+        # outcome() lets any error but EmbeddingFormatError through, failing the test
+        data = bytearray(data)
+        for i, byte in edits:
+            data[i % len(data)] = byte
+        path = tmp_path_factory.getbasetemp() / "damaged.bin"
+        path.write_bytes(bytes(data[:cut]))
+        with mock.patch.object(embeddings, "_BLOCK", block):
+            got = outcome(load_binary_format, path)
+        assert got == outcome(load_binary_oracle, path)
+        if got[0][0] == "error":
+            assert str(path) in got[0][1]
+
+
+def test_scaled_keeps_duplicates_dropped():
+    lib = EmbeddingLibrary({"a": 0}, np.ones((1, 2)), duplicates_dropped=3)
+    doubled = lib.scaled(2.0)
+    assert doubled.duplicates_dropped == 3
+    assert np.array_equal(doubled.matrix, [[2.0, 2.0]])
 
 
 class TestCosine:
