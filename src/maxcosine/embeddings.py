@@ -122,8 +122,15 @@ def load_text_format(path, expected_dim: Optional[int] = None) -> EmbeddingLibra
 
 
 def save_text_format(lib: EmbeddingLibrary, path) -> None:
+    words = lib.words()
+    if words and words[0].split() != [words[0]]:
+        # the loader fixes d from the first line by splitting it on whitespace
+        raise EmbeddingFormatError(
+            f"{path}: the text format cannot start with a word that is empty or "
+            f"holds whitespace: {words[0]!r}"
+        )
     with open(path, "w", encoding="utf-8") as fh:
-        for word, row in zip(lib.words(), lib.matrix):
+        for word, row in zip(words, lib.matrix):
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 

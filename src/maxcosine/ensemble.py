@@ -14,7 +14,7 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, augment_pair, forward_batch
+from .model import Model, augment_pair, forward_members
 from .training import TrainConfig, TrainResult, train
 
 
@@ -76,21 +76,23 @@ def predict_ensemble(
 ) -> tuple[np.ndarray, int]:
     """Arithmetic mean of member probabilities; label with smallest-index tie-break.
 
-    Each coordinate is summed in sorted order with extended precision, so the
-    mean is independent of member order and reduces exactly to the member
-    output when all members agree bitwise. Members differ only in seed, so the
-    pair is matched once for all of them.
+    Members differ only in seed, so the pair is matched once for all of them,
+    and all members' encoders run as one set of independent passes.
     """
     seqs = [augment_pair(pair, lib, ensemble.members[0].config)]
-    member_probs = [forward_batch(m, seqs)[0][0] for m in ensemble.members]
-    n = len(member_probs)
-    mean = np.empty(3)
-    for j in range(3):
-        total = np.longdouble(0.0)
-        for v in sorted(p[j] for p in member_probs):
-            total += v
-        mean[j] = float(total / n)
+    mean = member_mean([probs[0] for probs in forward_members(ensemble.members, seqs)])
     return mean, int(np.argmax(mean)) + 1
+
+
+def member_mean(member_probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean over members of equal-shape float64 vectors. Each coordinate is
+    summed in sorted order in extended precision, starting from +0.0, so the
+    mean is independent of member order and reduces exactly to the member
+    output when all members agree bitwise."""
+    ranked = np.sort(np.stack(member_probs), axis=0)
+    start = np.zeros((1,) + ranked.shape[1:])
+    total = np.cumsum(np.concatenate([start, ranked]), axis=0, dtype=np.longdouble)[-1]
+    return (total / len(ranked)).astype(np.float64)
 
 
 def save_manifest(path, member_paths: Sequence[str], seeds: Sequence[int]) -> None:

@@ -4,8 +4,11 @@ passes for the base and biway architectures."""
 from __future__ import annotations
 
 import copy
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -232,8 +235,8 @@ def lstm_forward(
             h_prev = H[r0:r1, n_in:]
             h_prev[...] = h[prev]
             a += h_prev @ W_hT
-        a[:, : 3 * k] = sigmoid(a[:, : 3 * k])
-        a[:, 3 * k :] = np.tanh(a[:, 3 * k :])
+        sigmoid(a[:, : 3 * k], out=a[:, : 3 * k])
+        np.tanh(a[:, 3 * k :], out=a[:, 3 * k :])
         i, f, o, g = (a[:, j * k : (j + 1) * k] for j in range(len(GATES)))
         np.multiply(i, g, out=c[r0:r1])
         if t:
@@ -274,20 +277,14 @@ def augment_pair(
     return z_h, z_p
 
 
-def forward_batch(
+def _encoder_passes(
     model: Model,
     seqs: Sequence[tuple[np.ndarray, Optional[np.ndarray]]],
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, ForwardTrace]:
-    """(B, 3) probabilities of a batch of `augment_pair` outputs.
-
-    Train mode applies inverted dropout to every input row and to each final
-    hidden state. The masks are drawn pair by pair before encoding, in the order
-    hypothesis input, hypothesis output, premise input, premise output, so a
-    seeded stream is read the same whatever the batch size. Eval mode is
-    deterministic and dropout-free.
-    """
+    train: bool,
+    rng: Optional[np.random.Generator],
+) -> list[tuple[Callable, tuple, int]]:
+    """One `lstm_forward` pass per encoder of `model`, as `_run_passes` jobs,
+    with any train-mode dropout already drawn and applied."""
     cfg = model.config
     lstms = [model.lstm_h, model.lstm_p] if cfg.biway else [model.lstm_h]
     if cfg.biway and any(z_p is None for _, z_p in seqs):
@@ -305,14 +302,60 @@ def forward_batch(
                 Zs[b] = dropped
                 masks[side].append(dropout_mask(rng, cfg.k, rate))
         out_masks = [np.stack(m) for m in masks]
-    enc = [lstm_forward(p, Zs, mask) for p, Zs, mask in zip(lstms, inputs, out_masks)]
+    return [
+        (lstm_forward, (p, Zs, mask), sum(len(Z) for Z in Zs))
+        for p, Zs, mask in zip(lstms, inputs, out_masks)
+    ]
+
+
+def _softmax_input(model: Model, h_finals: Sequence[np.ndarray]) -> np.ndarray:
     # premise side first in the biway softmax input
-    h_out = np.hstack([enc[1].h_final, enc[0].h_final]) if cfg.biway else enc[0].h_final
+    return np.hstack([h_finals[1], h_finals[0]]) if model.config.biway else h_finals[0]
+
+
+def _final_states(*args) -> np.ndarray:
+    """`lstm_forward(*args).h_final`; the rest of the trace is freed as the pass ends."""
+    return lstm_forward(*args).h_final
+
+
+def forward_batch(
+    model: Model,
+    seqs: Sequence[tuple[np.ndarray, Optional[np.ndarray]]],
+    train: bool = False,
+    rng: Optional[np.random.Generator] = None,
+) -> tuple[np.ndarray, ForwardTrace]:
+    """(B, 3) probabilities of a batch of `augment_pair` outputs.
+
+    Train mode applies inverted dropout to every input row and to each final
+    hidden state. The masks are drawn pair by pair before encoding, in the order
+    hypothesis input, hypothesis output, premise input, premise output, so a
+    seeded stream is read the same whatever the batch size. Eval mode is
+    deterministic and dropout-free. The two biway encoders run as independent
+    passes (`_run_passes`).
+    """
+    enc = _run_passes(_encoder_passes(model, seqs, train, rng))
+    h_out = _softmax_input(model, [e.h_final for e in enc])
     probs, _ = decide(model.softmax, h_out)
     trace = ForwardTrace(
-        enc_h=enc[0], enc_p=enc[1] if cfg.biway else None, h_out=h_out, probabilities=probs
+        enc_h=enc[0], enc_p=enc[1] if model.config.biway else None, h_out=h_out,
+        probabilities=probs,
     )
     return probs, trace
+
+
+def forward_members(
+    models: Sequence[Model], seqs: Sequence[tuple[np.ndarray, Optional[np.ndarray]]]
+) -> list[np.ndarray]:
+    """Eval-mode (B, 3) probabilities of each model on the same batch, as
+    `forward_batch` gives them. All the models' encoders run as one set of
+    independent passes, and each pass keeps only its final hidden states."""
+    passes = [_encoder_passes(m, seqs, False, None) for m in models]
+    jobs = [(_final_states, args, cost) for each in passes for _, args, cost in each]
+    finals = iter(_run_passes(jobs))
+    return [
+        decide(m.softmax, _softmax_input(m, [next(finals) for _ in each]))[0]
+        for m, each in zip(models, passes)
+    ]
 
 
 def forward(
@@ -390,8 +433,69 @@ def backward(
     np.sum(dp, axis=0, out=out.softmax.b_s)
     dh_out = dp @ model.softmax.W_s
     k = model.config.k
+    # the biway LSTMs write disjoint gradients, so their BPTT passes are independent
+    passes = []
     if model.config.biway:
-        lstm_backward(model.lstm_p, trace.enc_p, dh_out[:, :k], out.lstm_p)
-        dh_out = dh_out[:, k:]
-    lstm_backward(model.lstm_h, trace.enc_h, dh_out, out.lstm_h)
+        passes.append((lstm_backward, (model.lstm_p, trace.enc_p, dh_out[:, :k], out.lstm_p),
+                       len(trace.enc_p)))
+    passes.append((lstm_backward, (model.lstm_h, trace.enc_h, dh_out[:, -k:], out.lstm_h),
+                   len(trace.enc_h)))
+    _run_passes(passes)
     return out.parameters()
+
+
+# Threads beside the caller that run independent passes: one fewer than the
+# cores this process may use, so on one core every pass runs inline.
+_WORKERS = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
+
+
+def _new_pool() -> None:
+    """Make the pool of `_WORKERS` threads. It starts a thread only when a job is
+    submitted, so an import or one-LSTM work starts none. A forked child makes
+    its own, as its parent's threads do not exist there."""
+    global _pool
+    _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="maxcosine-pass")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
+    """`fn(*args)` of every `(fn, args, cost)` job, in job order.
+
+    The jobs must not read each other's outputs. The calling thread and up to
+    `_WORKERS` worker threads take them costliest first from one queue, and
+    each runs whole on one thread on its own arrays, so every result is
+    computed exactly as a serial loop computes it. Once all jobs have ended,
+    the first error in job order is raised.
+    """
+    helpers = min(_WORKERS, len(jobs) - 1)
+    if helpers <= 0:
+        return [fn(*args) for fn, args, _ in jobs]
+    # sorted() is stable, so equal costs keep job order
+    todo = deque(sorted(range(len(jobs)), key=lambda j: -jobs[j][2]))
+    results: list = [None] * len(jobs)
+    errors: list[Optional[BaseException]] = [None] * len(jobs)
+
+    def drain() -> None:
+        while True:
+            try:
+                j = todo.popleft()  # atomic, so no job is taken twice
+            except IndexError:
+                return
+            fn, args, _ = jobs[j]
+            try:
+                results[j] = fn(*args)
+            except BaseException as exc:  # raised below, once no job is running
+                errors[j] = exc
+
+    helping = [_pool.submit(drain) for _ in range(helpers)]
+    drain()
+    for done in helping:
+        done.result()
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        raise error
+    return results

@@ -13,9 +13,19 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sigmoid(x):
-    # clip keeps exp() finite; sigmoid is exactly 0/1 in float64 well before |x|=60
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-clip(x, -60, 60))), computed in place in `out` when given
+    (`out` may be `x` itself). The clip keeps exp() finite; sigmoid is exactly
+    0 or 1 in float64 well before |x| = 60."""
+    if out is None:
+        out = np.empty_like(x, dtype=np.result_type(x, 1.0))
+    np.maximum(x, -60.0, out=out)
+    np.minimum(out, 60.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out if out.ndim else out[()]
 
 
 def sigmoid_grad(s):

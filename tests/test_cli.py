@@ -71,6 +71,18 @@ def test_embed_convert_round_trip(workspace, capsys):
     assert load_binary_format(binary).vocab == a.vocab
 
 
+def test_embed_convert_rejects_unreadable_text_output(tmp_path, capsys):
+    # a binary word ends at its first space, so it may hold a tab; as the first
+    # word of a text file it would be split into two fields
+    binary = tmp_path / "tab.bin"
+    row = np.ones(2, dtype="<f4").tobytes()
+    binary.write_bytes(b"2 2\n" + b"a\tb " + row + b"\n" + b"c " + row + b"\n")
+    text = tmp_path / "tab.txt"
+    assert main(["embed-convert", str(binary), str(text), "--to", "text"]) == 1
+    assert f"error: {text}: the text format cannot" in capsys.readouterr().err
+    assert not text.exists()
+
+
 MATCH_PINNED = [
     (["w0 w1 w2", "w3 w4"], ["w3 -> w0 (0.2550)", "w4 -> w1 (0.9146)"]),
     # OOV tokens on both sides and repeated tokens; window 1 leaves the premise's

@@ -82,6 +82,22 @@ class TestTextFormat:
         assert np.max(np.abs(back.matrix - lib.matrix)) < 1e-12
 
 
+    @pytest.mark.parametrize("first", ["a b", "a\tb", "", " a"])
+    def test_save_rejects_unreadable_first_word(self, tmp_path, first):
+        # the first line fixes d by a whitespace split, so its word must be one field
+        lib = EmbeddingLibrary({first: 0, "c": 1}, np.ones((2, 2)))
+        path = tmp_path / "out.txt"
+        with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}: ")):
+            save_text_format(lib, path)
+        assert not path.exists()
+
+    def test_round_trip_later_word_with_space(self, tmp_path):
+        lib = EmbeddingLibrary({"cat": 0, ". . .": 1}, np.arange(4.0).reshape(2, 2))
+        save_text_format(lib, tmp_path / "out.txt")
+        back = load_text_format(tmp_path / "out.txt")
+        assert back.vocab == lib.vocab and np.array_equal(back.matrix, lib.matrix)
+
+
 class TestBinaryFormat:
     def test_basic_load(self, tmp_path):
         path = tmp_path / "e.bin"

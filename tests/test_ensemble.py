@@ -1,14 +1,19 @@
 import json
+import multiprocessing
 import re
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_library, random_pairs
+from maxcosine import model as model_module
 from maxcosine.ensemble import (
     Ensemble,
     ManifestError,
     load_ensemble,
+    member_mean,
     predict_ensemble,
     save_ensemble,
     save_manifest,
@@ -110,6 +115,75 @@ class TestPredictEnsemble:
     def test_hand_average(self):
         got = np.mean([[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]], axis=0)
         assert np.allclose(got, [0.3, 1 / 3, 11 / 30], atol=1e-12)
+
+
+def loop_mean(member_probs):
+    """The per-coordinate loop `member_mean` replaced: a sorted extended-precision sum."""
+    mean = np.empty(len(member_probs[0]))
+    for j in range(len(mean)):
+        total = np.longdouble(0.0)
+        for v in sorted(p[j] for p in member_probs):
+            total += v
+        mean[j] = float(total / len(member_probs))
+    return mean
+
+
+# ties, signed zeros and subnormals, beside arbitrary finite values
+mean_coordinates = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1 / 3, 0.5, 1.0]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(mean_coordinates, min_size=3, max_size=3), min_size=1, max_size=7))
+def test_member_mean_bitwise_equals_sorted_loop(members):
+    member_probs = [np.array(p) for p in members]
+    assert member_mean(member_probs).tobytes() == loop_mean(member_probs).tobytes()
+
+
+def biway_members(lib, seeds):
+    return [
+        init_model(quick_config(biway=True, seed=s).model_config(lib.dim), make_rng(s))
+        for s in seeds
+    ]
+
+
+def test_parallel_members_equal_serial(monkeypatch, pass_pool):
+    lib, pairs = setup()
+    group = Ensemble(members=biway_members(lib, (1, 2, 3)))
+    threads = threading.active_count()
+    outputs = {}
+    for workers in (0, 1):
+        monkeypatch.setattr(model_module, "_WORKERS", workers)
+        outputs[workers] = [predict_ensemble(group, pair, lib) for pair in pairs]
+    assert threading.active_count() == threads + 1  # the worker ran
+    for (serial, serial_label), (parallel, label) in zip(outputs[0], outputs[1]):
+        assert serial.tobytes() == parallel.tobytes() and serial_label == label
+
+
+def test_forked_training_starts_its_own_worker(pass_pool):
+    # the parent's worker does not exist in a forked child, which must start its own
+    lib, pairs = setup()
+    cfg = quick_config(biway=True, dropout_rate=0.2)
+    threads = threading.active_count()
+    predict_ensemble(Ensemble(members=biway_members(lib, (1,))), pairs[0], lib)
+    assert threading.active_count() == threads + 1
+    out = {}
+    runner = threading.Thread(target=lambda: out.update(
+        forked=train_ensemble(cfg, [4, 5], pairs, pairs[:3], lib, workers=2)[0]), daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    if runner.is_alive():  # a child waits on a worker it does not have: end it
+        for child in multiprocessing.active_children():
+            child.terminate()
+        runner.join(timeout=30)
+        pytest.fail("a forked training child hung")
+    serial, _ = train_ensemble(cfg, [4, 5], pairs, pairs[:3], lib, workers=1)
+    for a, b in zip(out["forked"].members, serial.members):
+        for name, arr in a.parameters().items():
+            assert arr.tobytes() == b.parameters()[name].tobytes(), name
 
 
 class TestManifest:

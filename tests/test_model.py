@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from helpers import random_library, random_pairs
+from maxcosine import model as model_module
 from maxcosine.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maxcosine.data import SentencePair
 from maxcosine.embeddings import EmbeddingLibrary
@@ -280,6 +285,70 @@ class TestForward:
         hyp_given_2, prem2_given_hyp = augment_pair(SentencePair(prem2, hyp, 1, 0), lib, config)
         assert np.array_equal(hyp_given_1, hyp_given_2)
         assert not np.array_equal(prem1_given_hyp, prem2_given_hyp)
+
+
+class TestIndependentPasses:
+    def test_biway_forward_and_backward_equal_serial(self, monkeypatch, pass_pool):
+        rng = make_rng(40)
+        model = small_model(d=3, k=5, biway=True, dropout=0.3, seed=40)
+        seqs = [(rng.standard_normal((m_h, 6)), rng.standard_normal((m_p, 6)))
+                for m_h, m_p in [(4, 7), (1, 3), (6, 2)]]
+        labels = [1, 3, 2]
+        threads = threading.active_count()
+        runs = {}
+        for workers in (0, 1):
+            monkeypatch.setattr(model_module, "_WORKERS", workers)
+            stream = make_rng(5)
+            probs, trace = forward_batch(model, seqs, train=True, rng=stream)
+            grads = {name: g.tobytes() for name, g in backward(model, trace, labels).items()}
+            runs[workers] = (probs.tobytes(), trace.h_out.tobytes(),
+                             stream.bit_generator.state, grads)
+        assert threading.active_count() == threads + 1  # the worker ran
+        assert runs[0] == runs[1]
+
+    def test_worker_error_reaches_caller(self, pass_pool):
+        both = threading.Barrier(2, timeout=10)  # the jobs run at once: one on the worker
+        raised = []
+
+        def job():
+            both.wait()
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(ValueError("worker pass failed"))
+                raise raised[-1]
+            return "caller"
+
+        with pytest.raises(ValueError) as info:
+            model_module._run_passes([(job, (), 1), (job, (), 1)])
+        assert len(raised) == 1 and info.value is raised[0]
+
+        def echo(i):
+            both.wait()
+            return i
+
+        # results come back in job order, whatever order the jobs were taken in
+        assert model_module._run_passes([(echo, (0,), 1), (echo, (1,), 2)]) == [0, 1]
+
+    def test_every_job_runs_once_under_contention(self, monkeypatch):
+        workers = len(os.sched_getaffinity(0)) + 2  # more threads than cores
+        pool = ThreadPoolExecutor(workers)
+        monkeypatch.setattr(model_module, "_WORKERS", workers)
+        monkeypatch.setattr(model_module, "_pool", pool)
+        runs = [0] * 64
+
+        def job(j):
+            runs[j] += 1  # one slot per job: a job taken twice counts 2
+            return j
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                jobs = [(job, (j,), j % 5) for j in range(len(runs))]
+                assert model_module._run_passes(jobs) == list(range(len(runs)))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert runs == [50] * len(runs)
 
 
 class TestBackward:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from maxcosine.numerics import (
     gradient_check,
@@ -29,6 +29,29 @@ def test_sigmoid_saturates():
     assert sigmoid(1e6) == 1.0
     assert 0.0 <= sigmoid(-1e6) < 1e-25
     assert np.isfinite(sigmoid(1e308)) and np.isfinite(sigmoid(-1e308))
+
+
+# the edges of the clip, signed zeros, infinities, NaN and subnormals
+SIGMOID_EDGES = [0.0, -0.0, 60.0, -60.0, np.nextafter(60.0, 61.0), np.nextafter(-60.0, -61.0),
+                 np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(SIGMOID_EDGES)), min_size=1, max_size=40),
+       st.sampled_from(["new", "in_place", "strided_in_place"]))
+def test_sigmoid_bitwise_equals_clipped_formula(values, layout):
+    x = np.array(values)
+    expected = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    if layout == "new":
+        got = sigmoid(x)
+    elif layout == "in_place":
+        got = sigmoid(x, out=x)
+    else:  # the sigmoid gates of an LSTM step: a column slice of each row
+        rows = np.zeros((len(values), 3))
+        rows[:, 1] = values
+        got = sigmoid(rows[:, 1], out=rows[:, 1])
+        assert got.base is rows and not np.any(rows[:, [0, 2]])
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
 def test_tanh_grad_matches_definition():

@@ -1,4 +1,5 @@
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -259,3 +260,13 @@ class TestEvaluate:
         model = init_model(TrainConfig(k=8).model_config(lib.dim + 1), make_rng(0))
         with pytest.raises(ValueError, match="dimension"):
             evaluate(pairs, model, lib)
+
+
+def test_base_training_starts_no_thread(pass_pool):
+    # one LSTM gives one pass per step, which never leaves the calling thread
+    rng = make_rng(8)
+    lib = random_library(rng, dim=6)
+    pairs = random_pairs(rng, lib, 6)
+    before = threading.active_count()
+    train(pairs, pairs[:2], TrainConfig(k=4, batch_size=3, epochs=2, dropout_rate=0.2), lib)
+    assert threading.active_count() == before
