@@ -330,10 +330,10 @@ def forward_batch(
     hidden state. The masks are drawn pair by pair before encoding, in the order
     hypothesis input, hypothesis output, premise input, premise output, so a
     seeded stream is read the same whatever the batch size. Eval mode is
-    deterministic and dropout-free. The two biway encoders run as independent
-    passes (`_run_passes`).
+    deterministic and dropout-free. The encoders run one after the other on the
+    calling thread: at 32 to 64 rows a step a second thread gained nothing.
     """
-    enc = _run_passes(_encoder_passes(model, seqs, train, rng))
+    enc = [fn(*args) for fn, args, _ in _encoder_passes(model, seqs, train, rng)]
     h_out = _softmax_input(model, [e.h_final for e in enc])
     probs, _ = decide(model.softmax, h_out)
     trace = ForwardTrace(
@@ -433,20 +433,18 @@ def backward(
     np.sum(dp, axis=0, out=out.softmax.b_s)
     dh_out = dp @ model.softmax.W_s
     k = model.config.k
-    # the biway LSTMs write disjoint gradients, so their BPTT passes are independent
-    passes = []
     if model.config.biway:
-        passes.append((lstm_backward, (model.lstm_p, trace.enc_p, dh_out[:, :k], out.lstm_p),
-                       len(trace.enc_p)))
-    passes.append((lstm_backward, (model.lstm_h, trace.enc_h, dh_out[:, -k:], out.lstm_h),
-                   len(trace.enc_h)))
-    _run_passes(passes)
+        lstm_backward(model.lstm_p, trace.enc_p, dh_out[:, :k], out.lstm_p)
+        dh_out = dh_out[:, k:]
+    lstm_backward(model.lstm_h, trace.enc_h, dh_out, out.lstm_h)
     return out.parameters()
 
 
-# Threads beside the caller that run independent passes: one fewer than the
-# cores this process may use, so on one core every pass runs inline.
-_WORKERS = len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0
+# Threads beside the caller that run independent passes: one when this process
+# may use two or more cores, none (every pass inline) on one. More were not
+# measured, and each running pass holds its own trace. A CPU quota set by a
+# cgroup is not read: a process confined to one core's time starts the thread.
+_WORKERS = min(len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0, 1)
 
 
 def _new_pool() -> None:

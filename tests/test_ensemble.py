@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 import re
 import threading
 
@@ -163,27 +164,33 @@ def test_parallel_members_equal_serial(monkeypatch, pass_pool):
         assert serial.tobytes() == parallel.tobytes() and serial_label == label
 
 
-def test_forked_training_starts_its_own_worker(pass_pool):
+def _predict_all(group, pairs, lib):
+    return [(probs.tobytes(), label) for probs, label in
+            (predict_ensemble(group, pair, lib) for pair in pairs)]
+
+
+def test_forked_child_starts_its_own_worker(pass_pool):
     # the parent's worker does not exist in a forked child, which must start its own
-    lib, pairs = setup()
-    cfg = quick_config(biway=True, dropout_rate=0.2)
+    lib, pairs = setup(n_pairs=4)
+    group = Ensemble(members=biway_members(lib, (1, 2)))
     threads = threading.active_count()
-    predict_ensemble(Ensemble(members=biway_members(lib, (1,))), pairs[0], lib)
+    in_parent = _predict_all(group, pairs, lib)
     assert threading.active_count() == threads + 1
     out = {}
-    runner = threading.Thread(target=lambda: out.update(
-        forked=train_ensemble(cfg, [4, 5], pairs, pairs[:3], lib, workers=2)[0]), daemon=True)
+
+    def fork_and_predict():
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            out["forked"] = pool.submit(_predict_all, group, pairs, lib).result()
+
+    runner = threading.Thread(target=fork_and_predict, daemon=True)
     runner.start()
     runner.join(timeout=120)
     if runner.is_alive():  # a child waits on a worker it does not have: end it
         for child in multiprocessing.active_children():
             child.terminate()
         runner.join(timeout=30)
-        pytest.fail("a forked training child hung")
-    serial, _ = train_ensemble(cfg, [4, 5], pairs, pairs[:3], lib, workers=1)
-    for a, b in zip(out["forked"].members, serial.members):
-        for name, arr in a.parameters().items():
-            assert arr.tobytes() == b.parameters()[name].tobytes(), name
+        pytest.fail("a forked child hung")
+    assert out["forked"] == in_parent
 
 
 class TestManifest:

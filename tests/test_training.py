@@ -262,11 +262,13 @@ class TestEvaluate:
             evaluate(pairs, model, lib)
 
 
-def test_base_training_starts_no_thread(pass_pool):
-    # one LSTM gives one pass per step, which never leaves the calling thread
+@pytest.mark.parametrize("biway", [False, True])
+def test_training_starts_no_thread(pass_pool, biway):
+    # training steps and validation run every LSTM pass on the calling thread
     rng = make_rng(8)
     lib = random_library(rng, dim=6)
     pairs = random_pairs(rng, lib, 6)
     before = threading.active_count()
-    train(pairs, pairs[:2], TrainConfig(k=4, batch_size=3, epochs=2, dropout_rate=0.2), lib)
+    cfg = TrainConfig(k=4, batch_size=3, epochs=2, dropout_rate=0.2, biway=biway)
+    train(pairs, pairs[:2], cfg, lib)
     assert threading.active_count() == before
