@@ -468,10 +468,18 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
     each runs whole on one thread on its own arrays, so every result is
     computed exactly as a serial loop computes it. Once all jobs have ended,
     the first error in job order is raised.
+
+    While the jobs run, the caller is held to the first core it may use and
+    the workers to the others, and the caller's own core set is given back
+    afterwards. Left alone, the kernel could wake the worker onto the caller's
+    core and keep both there for seconds, each getting half of one core.
     """
     helpers = min(_WORKERS, len(jobs) - 1)
     if helpers <= 0:
         return [fn(*args) for fn, args, _ in jobs]
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    own = {min(allowed)} if len(allowed) > 1 else allowed
+    others = allowed - own
     # sorted() is stable, so equal costs keep job order
     todo = deque(sorted(range(len(jobs)), key=lambda j: -jobs[j][2]))
     results: list = [None] * len(jobs)
@@ -489,10 +497,21 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
             except BaseException as exc:  # raised below, once no job is running
                 errors[j] = exc
 
-    helping = [_pool.submit(drain) for _ in range(helpers)]
-    drain()
-    for done in helping:
-        done.result()
+    def help_out() -> None:
+        if others:
+            os.sched_setaffinity(0, others)  # 0: the calling thread
+        drain()
+
+    if others:
+        os.sched_setaffinity(0, own)
+    try:
+        helping = [_pool.submit(help_out) for _ in range(helpers)]
+        drain()
+        for done in helping:
+            done.result()
+    finally:
+        if others:
+            os.sched_setaffinity(0, allowed)
     error = next((e for e in errors if e is not None), None)
     if error is not None:
         raise error

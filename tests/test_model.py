@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 import sys
@@ -308,6 +309,32 @@ class TestIndependentPasses:
 
         # results come back in job order, whatever order the jobs were taken in
         assert model_module._run_passes([(echo, (0,), 1), (echo, (1,), 2)]) == [0, 1]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two or more cores to keep apart",
+    )
+    def test_caller_and_worker_run_on_separate_cores(self, pass_pool):
+        allowed = os.sched_getaffinity(0)
+        first = min(allowed)
+        both = threading.Barrier(2, timeout=10)  # the jobs run at once: one on the worker
+        seen = {}
+
+        def job(fail):
+            both.wait()
+            seen[threading.current_thread() is threading.main_thread()] = os.sched_getaffinity(0)
+            if fail and threading.current_thread() is not threading.main_thread():
+                raise ValueError("worker pass failed")
+
+        for fail in (False, True):
+            seen.clear()
+            if fail:
+                with pytest.raises(ValueError):
+                    model_module._run_passes([(job, (fail,), 1), (job, (fail,), 1)])
+            else:
+                model_module._run_passes([(job, (fail,), 1), (job, (fail,), 1)])
+            assert seen == {True: {first}, False: allowed - {first}}
+            assert os.sched_getaffinity(0) == allowed  # the caller's cores come back
 
     def test_every_job_runs_once_under_contention(self, monkeypatch):
         workers = 4  # more threads than two jobs at a time can keep busy
