@@ -69,7 +69,7 @@ def load_checkpoint(path) -> Model:
             model = zero_model(config)
         except CheckpointError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CheckpointError(f"{path}: bad header: {exc!r}") from None
         params = model.parameters()
         expected = [(name, view.shape) for name, view in params.items()]

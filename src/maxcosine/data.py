@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -12,6 +13,14 @@ log = logging.getLogger(__name__)
 ENTAILMENT, CONTRADICTION, NEUTRAL = 1, 2, 3
 LABEL_VALUES = {"entailment": ENTAILMENT, "contradiction": CONTRADICTION, "neutral": NEUTRAL}
 LABEL_NAMES = {ENTAILMENT: "Entailment", CONTRADICTION: "Contradiction", NEUTRAL: "Neutral"}
+
+# the lone surrogates that decoding with errors="surrogateescape" puts for bytes
+# that are not UTF-8
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+class DataFormatError(ValueError):
+    """Raised when a dataset file has too many malformed lines to load."""
 
 
 @dataclass(frozen=True)
@@ -59,26 +68,45 @@ def tokenize(sentence: str) -> list[str]:
     return out
 
 
+def _fields(line: str) -> Optional[tuple[str, str, str]]:
+    """(gold_label, sentence1, sentence2) of one JSONL line, the label "-" when
+    absent; None if the line is not a JSON object with string fields there."""
+    if not line.isascii() and _UNDECODABLE.search(line):  # isascii() is O(1)
+        return None
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError):  # ValueError includes JSONDecodeError
+        return None
+    if not isinstance(obj, dict):
+        return None
+    label = obj.get("gold_label", "-")
+    premise, hypothesis = obj.get("sentence1"), obj.get("sentence2")
+    if isinstance(label, str) and isinstance(premise, str) and isinstance(hypothesis, str):
+        return label, premise, hypothesis
+    return None
+
+
 def load_snli(path, max_pairs: Optional[int] = None) -> tuple[list[SentencePair], LoadReport]:
     """Parse one JSON object per line; skip unknown-label and empty-tokenization pairs.
 
-    Aborts if more than 1% of lines are malformed.
+    A line that is not valid UTF-8, not JSON, or not an object with string
+    `sentence1`, `sentence2` and (optional) `gold_label` fields is malformed:
+    it is counted, and its number logged. More than 1% malformed lines raise
+    DataFormatError.
     """
     pairs: list[SentencePair] = []
     report = LoadReport()
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, found per line by _fields
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             report.total_lines += 1
-            try:
-                obj = json.loads(line)
-                label_raw = obj.get("gold_label", "-")
-                premise = obj["sentence1"]
-                hypothesis = obj["sentence2"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+            fields = _fields(line)
+            if fields is None:
                 report.malformed += 1
                 report.malformed_lines.append(lineno)
                 log.warning("%s:%d: malformed line, skipping", path, lineno)
                 continue
+            label_raw, premise, hypothesis = fields
             if label_raw not in LABEL_VALUES:
                 report.skipped_unknown_label += 1
                 continue
@@ -99,7 +127,7 @@ def load_snli(path, max_pairs: Optional[int] = None) -> tuple[list[SentencePair]
             if max_pairs is not None and report.emitted >= max_pairs:
                 break
     if report.total_lines and report.malformed > 0.01 * report.total_lines:
-        raise ValueError(
+        raise DataFormatError(
             f"{path}: {report.malformed}/{report.total_lines} malformed lines (>1%), aborting"
         )
     return pairs, report

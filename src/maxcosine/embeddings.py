@@ -121,14 +121,37 @@ def load_text_format(path, expected_dim: Optional[int] = None) -> EmbeddingLibra
     return EmbeddingLibrary(vocab, np.vstack(rows), duplicates_dropped=dupes)
 
 
+def _text_unreadable(word: str, first: bool) -> Optional[str]:
+    """Why `load_text_format` would not read `word` back from a saved line, or None.
+
+    The first line fixes d by a plain whitespace split. A later line splits its
+    last d fields off and strips the rest, which must not end in a number."""
+    try:
+        word.encode("utf-8")
+    except UnicodeEncodeError:
+        return "is not encodable as UTF-8"
+    if first:
+        return None if word.split() == [word] else "is empty or holds whitespace"
+    if "\n" in word or "\r" in word:
+        return "holds a line break"
+    if not word or word != word.strip():
+        return "is empty or has leading or trailing whitespace"
+    pieces = word.split()
+    if len(pieces) > 1 and _is_number(pieces[-1]):
+        return "ends in a number after whitespace"
+    return None
+
+
 def save_text_format(lib: EmbeddingLibrary, path) -> None:
+    """Write `word v1 ... vd` lines; a word the loader would not read back as the
+    same word raises before the file is opened."""
     words = lib.words()
-    if words and words[0].split() != [words[0]]:
-        # the loader fixes d from the first line by splitting it on whitespace
-        raise EmbeddingFormatError(
-            f"{path}: the text format cannot start with a word that is empty or "
-            f"holds whitespace: {words[0]!r}"
-        )
+    for i, word in enumerate(words):
+        why = _text_unreadable(word, first=i == 0)
+        if why is not None:
+            raise EmbeddingFormatError(
+                f"{path}: the text format cannot hold word {i + 1}, {word!r}: it {why}"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         for word, row in zip(words, lib.matrix):
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
@@ -150,9 +173,11 @@ def _decode(path, raw: bytes, n: int) -> str:
         return raw.decode("utf-8", errors="replace")
 
 
-def _add_block(path, vocab: dict[str, int], raw_words: list, vectors: list, rows) -> int:
-    """Append one block's records to `vocab` and `rows`, the first occurrence of a word
-    winning; returns the number of duplicates dropped."""
+def _add_block(path, vocab: dict[str, int], raw_words: list, vectors: list, rows,
+               first: int) -> int:
+    """Append one block's records, the first of which is record `first` of the file,
+    to `vocab` and `rows`, the first occurrence of a word winning; returns the
+    number of duplicates dropped."""
     n = len(vocab)
     try:
         # a word holds no space, so one decode of the joined words splits back exactly
@@ -166,8 +191,8 @@ def _add_block(path, vocab: dict[str, int], raw_words: list, vectors: list, rows
         kept = vectors
     else:
         kept = []
-        for raw, vec in zip(raw_words, vectors):
-            word = _decode(path, raw, len(vocab))
+        for record, (raw, vec) in enumerate(zip(raw_words, vectors), start=first):
+            word = _decode(path, raw, record)
             if word not in vocab:
                 vocab[word] = len(vocab)
                 kept.append(vec)
@@ -180,7 +205,8 @@ def load_binary_format(path) -> EmbeddingLibrary:
     """Load the `|V| d\\n` header + (word SP d*float32-LE [LF]) record format.
 
     The header line may be at most `_HEADER_MAX` bytes long. The records are read
-    in blocks of `_BLOCK` bytes, never the whole file at once."""
+    in blocks of `_BLOCK` bytes, never the whole file at once. Messages number
+    records from 0 by their position in the file, dropped duplicates included."""
     with open(path, "rb") as fh:
         header = fh.readline(_HEADER_MAX)
         if not header.endswith(b"\n"):
@@ -206,20 +232,20 @@ def load_binary_format(path) -> EmbeddingLibrary:
         buf, pos, eof = b"", 0, False
         words: list[bytes] = []
         vectors: list[memoryview] = []
-        for _ in range(count):
+        for record in range(count):
             while True:
                 sp = buf.find(b" ", pos)
                 end = sp + 1 + 4 * dim
                 # a whole record, and the byte after it to tell whether an LF ends it
                 if sp >= 0 and (end < len(buf) or (eof and end == len(buf))):
                     break
-                dupes += _add_block(path, vocab, words, vectors, rows)
+                dupes += _add_block(path, vocab, words, vectors, rows, record - len(words))
                 words, vectors = [], []
                 if eof:
                     if sp < 0:
-                        raise EmbeddingFormatError(f"{path}: truncated at record {len(vocab)}")
-                    _decode(path, buf[pos:sp], len(vocab))  # a bad word warns before its vector
-                    raise EmbeddingFormatError(f"{path}: truncated vector at record {len(vocab)}")
+                        raise EmbeddingFormatError(f"{path}: truncated at record {record}")
+                    _decode(path, buf[pos:sp], record)  # a bad word warns before its vector
+                    raise EmbeddingFormatError(f"{path}: truncated vector at record {record}")
                 more = fh.read(max(_BLOCK, len(buf) - pos))
                 buf, pos, eof = buf[pos:] + more, 0, not more
                 view = memoryview(buf)
@@ -227,7 +253,7 @@ def load_binary_format(path) -> EmbeddingLibrary:
             vectors.append(view[sp + 1 : end])
             # optional record separator
             pos = end + 1 if end < len(buf) and buf[end] == 0x0A else end
-        dupes += _add_block(path, vocab, words, vectors, rows)
+        dupes += _add_block(path, vocab, words, vectors, rows, count - len(words))
     return EmbeddingLibrary(vocab, rows[: len(vocab)], duplicates_dropped=dupes)
 
 
@@ -263,18 +289,49 @@ def concat_libraries(a: EmbeddingLibrary, b: EmbeddingLibrary) -> EmbeddingLibra
     return EmbeddingLibrary(vocab, matrix)
 
 
+class RowTable:
+    """The distinct float64 rows that sentences' tokens resolve to: the library
+    row of an in-vocab token, else the mean of the in-vocab rows within +-window
+    of it, else zeros. A library row is stored once per library index, an
+    averaged or zero row once per distinct byte pattern."""
+
+    def __init__(self, lib: EmbeddingLibrary, window: int):
+        self.lib, self.window = lib, window
+        self._slots: dict = {}  # library index, or the bytes of a made row -> table row
+        self._made: list[np.ndarray] = []  # the rows keyed by bytes, in slot order
+
+    def rows(self, tokens: Sequence[str]) -> np.ndarray:
+        """(n,) int32 table rows of a sentence's tokens."""
+        vocab, window, slots = self.lib.vocab, self.window, self._slots
+        ids = [vocab.get(t, -1) for t in tokens]
+        out = np.empty(len(ids), dtype=np.int32)
+        for t, i in enumerate(ids):
+            if i < 0:
+                near = [j for j in ids[max(0, t - window) : max(0, t + window + 1)] if j >= 0]
+                vec = self.lib.matrix[near].mean(axis=0) if near else np.zeros(self.lib.dim)
+                i = vec.tobytes()
+                if i not in slots:
+                    self._made.append(vec)
+            out[t] = slots.setdefault(i, len(slots))
+        return out
+
+    def array(self) -> np.ndarray:
+        """(R, d) float64 rows, indexed by the values `rows` returned."""
+        table = np.empty((len(self._slots), self.lib.dim))
+        library = [(slot, i) for i, slot in self._slots.items() if not isinstance(i, bytes)]
+        if library:
+            slots, ids = zip(*library)
+            table[list(slots)] = self.lib.matrix[list(ids)]
+        made = [slot for i, slot in self._slots.items() if isinstance(i, bytes)]
+        if made:
+            table[made] = self._made
+        return table
+
+
 def embed_sentence(
     lib: EmbeddingLibrary, tokens: Sequence[str], window: int = DEFAULT_OOV_WINDOW
 ) -> np.ndarray:
-    """(n, d) vectors of a sentence's tokens: the library row of an in-vocab token,
-    else the mean of the in-vocab rows within +-window of it, else zeros."""
-    ids = np.array([lib.vocab.get(t, -1) for t in tokens], dtype=np.intp)
-    known = ids >= 0
-    out = np.zeros((len(ids), lib.dim))
-    out[known] = lib.matrix[ids[known]]
-    for t in np.flatnonzero(~known):
-        near = ids[max(0, t - window) : max(0, t + window + 1)]
-        near = near[near >= 0]
-        if near.size:
-            out[t] = lib.matrix[near].mean(axis=0)
-    return out
+    """(n, d) vectors of a sentence's tokens, as `RowTable` resolves them."""
+    table = RowTable(lib, window)
+    rows = table.rows(tokens)
+    return table.array()[rows]

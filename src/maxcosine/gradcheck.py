@@ -9,7 +9,8 @@ import numpy as np
 
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, augment_pair, backward, forward_batch
+from .matching import index_pairs
+from .model import Model, backward, forward_batch
 from .numerics import gradient_check
 
 
@@ -36,7 +37,7 @@ def model_gradient_check(
         raise ValueError("gradient check requires dropout_rate 0")
     params = model.parameters()
     # matching does not depend on the trainable parameters, so sequences are fixed
-    seqs = [augment_pair(pair, lib, model.config) for pair in pairs]
+    seqs = index_pairs(pairs, lib, model.config).sequences(range(len(pairs)))
     labels = [pair.label for pair in pairs]
 
     # the difference quotient cancels ~10 leading digits, so the objective runs in

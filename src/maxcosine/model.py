@@ -13,8 +13,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .data import SentencePair, LABEL_NAMES
-from .embeddings import DEFAULT_OOV_WINDOW, EmbeddingLibrary, embed_sentence
-from .matching import EmptySentenceError, match_indices
+from .embeddings import DEFAULT_OOV_WINDOW, EmbeddingLibrary
+from .matching import index_pairs
 from .numerics import sigmoid, sigmoid_grad, softmax, tanh_grad
 
 N_LABELS = 3
@@ -266,15 +266,9 @@ def augment_pair(
     pair: SentencePair, lib: EmbeddingLibrary, config: ModelConfig
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Matching step: the (m, 2d) rows [own || matched] of hypothesis|premise
-    always, and of premise|hypothesis when biway. Each sentence is resolved once
-    and both directions share it."""
-    if not pair.premise_tokens or not pair.hypothesis_tokens:
-        raise EmptySentenceError("cannot match against an empty sentence")
-    prem = embed_sentence(lib, pair.premise_tokens, config.oov_window)
-    hyp = embed_sentence(lib, pair.hypothesis_tokens, config.oov_window)
-    z_h = np.hstack([hyp, prem[match_indices(hyp, prem)]])
-    z_p = np.hstack([prem, hyp[match_indices(prem, hyp)]]) if config.biway else None
-    return z_h, z_p
+    always, and of premise|hypothesis when biway, gathered from an index of the
+    one pair."""
+    return index_pairs([pair], lib, config).sequences([0])[0]
 
 
 def _encoder_passes(

@@ -11,10 +11,10 @@ import numpy as np
 
 from .data import SentencePair
 from .embeddings import DEFAULT_OOV_WINDOW, EmbeddingLibrary
+from .matching import PairIndex, index_pairs
 from .model import (
     Model,
     ModelConfig,
-    augment_pair,
     backward,
     check_library_dim,
     forward_batch,
@@ -72,6 +72,13 @@ class TrainConfig:
             seed=self.seed,
             oov_window=self.oov_window,
         )
+
+
+def pair_losses(probabilities: np.ndarray, gold: Sequence[int]) -> np.ndarray:
+    """(B,) loss of each row of a (B, 3) batch, each bitwise what cross_entropy
+    gives for that pair alone: 0.0 - log, so that a certain gold label costs +0.0."""
+    p = probabilities[np.arange(len(gold)), np.asarray(gold) - 1]
+    return 0.0 - np.log(np.maximum(p, LOG_FLOOR))
 
 
 def cross_entropy(probabilities: Sequence[np.ndarray], gold: Sequence[int]) -> float:
@@ -162,13 +169,22 @@ class TrainResult:
     history: list[EpochMetrics] = field(default_factory=list)
 
 
-def evaluate(pairs: Sequence[SentencePair], model: Model, lib: EmbeddingLibrary) -> EvalResult:
+def evaluate(
+    pairs: Sequence[SentencePair],
+    model: Model,
+    lib: EmbeddingLibrary,
+    index: Optional[PairIndex] = None,
+) -> EvalResult:
+    """Accuracy and confusion of `model` on `pairs`, read through `index`, their
+    `index_pairs` matching, which is built here when not given."""
     check_library_dim(model.config, lib)
+    if index is None:
+        index = index_pairs(pairs, lib, model.config)
     confusion = np.zeros((3, 3), dtype=np.int64)
     for start in range(0, len(pairs), EVAL_CHUNK):
-        chunk = pairs[start : start + EVAL_CHUNK]
-        probs = forward_batch(model, [augment_pair(p, lib, model.config) for p in chunk])[0]
-        gold = [p.label - 1 for p in chunk]
+        chunk = range(start, min(start + EVAL_CHUNK, len(pairs)))
+        probs = forward_batch(model, index.sequences(chunk))[0]
+        gold = [pairs[i].label - 1 for i in chunk]
         np.add.at(confusion, (gold, np.argmax(probs, axis=1)), 1)
     total = len(pairs)
     accuracy = float(np.trace(confusion)) / total if total else 0.0
@@ -189,6 +205,9 @@ def train(
         raise ValueError("train and validation sets must be non-empty")
     rng = make_rng(config.seed)
     model = init_model(config.model_config(lib.dim), rng)
+    # matching reads only frozen vectors, so each set is matched once for the run
+    train_index = index_pairs(train_pairs, lib, model.config)
+    val_index = index_pairs(val_pairs, lib, model.config)
     params = model.parameters()
     state = AdamState.for_params(params)
     # every batch's gradient is written into this one buffer
@@ -207,10 +226,11 @@ def train(
             order = rng.permutation(n)
             loss_sum = 0.0
             for start in range(0, n, config.batch_size):
-                batch = [train_pairs[i] for i in order[start : start + config.batch_size]]
-                seqs = [augment_pair(pair, lib, model.config) for pair in batch]
+                which = order[start : start + config.batch_size]
+                batch = [train_pairs[i] for i in which]
+                seqs = train_index.sequences(which)
                 probs, trace = forward_batch(model, seqs, train=True, rng=rng)
-                losses = [cross_entropy([p], [pair.label]) for p, pair in zip(probs, batch)]
+                losses = pair_losses(probs, [pair.label for pair in batch])
                 diverged = [pair.id for pair, loss in zip(batch, losses) if not np.isfinite(loss)]
                 if diverged:
                     raise DivergenceError(
@@ -226,7 +246,7 @@ def train(
                 adam_step(params, grads, state, config)
             trained = time.perf_counter()
             train_loss = loss_sum / n
-            val = evaluate(val_pairs, model, lib)
+            val = evaluate(val_pairs, model, lib, index=val_index)
             validated = time.perf_counter()
             history.append(EpochMetrics(epoch, train_loss, val.accuracy))
             if metrics_fh:

@@ -57,13 +57,13 @@ def load_binary_oracle(path) -> EmbeddingLibrary:
         vocab: dict[str, int] = {}
         rows = np.empty((count, dim), dtype=np.float64)
         dupes = 0
-        n = 0
-        for _ in range(count):
+        n = 0  # records kept; messages number records by file position
+        for record in range(count):
             word_bytes = bytearray()
             while True:
                 b = fh.read(1)
                 if not b:
-                    raise EmbeddingFormatError(f"{path}: truncated at record {n}")
+                    raise EmbeddingFormatError(f"{path}: truncated at record {record}")
                 if b == b" ":
                     break
                 word_bytes += b
@@ -71,10 +71,10 @@ def load_binary_oracle(path) -> EmbeddingLibrary:
                 word = word_bytes.decode("utf-8")
             except UnicodeDecodeError:
                 word = word_bytes.decode("utf-8", errors="replace")
-                warnings.warn(f"{path}: invalid UTF-8 in word at record {n}; bytes replaced")
+                warnings.warn(f"{path}: invalid UTF-8 in word at record {record}; bytes replaced")
             raw = fh.read(4 * dim)
             if len(raw) != 4 * dim:
-                raise EmbeddingFormatError(f"{path}: truncated vector at record {n}")
+                raise EmbeddingFormatError(f"{path}: truncated vector at record {record}")
             vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
             # optional record separator
             pos = fh.tell()
@@ -88,3 +88,48 @@ def load_binary_oracle(path) -> EmbeddingLibrary:
             rows[n] = vec
             n += 1
     return EmbeddingLibrary(vocab, rows[:n], duplicates_dropped=dupes)
+
+
+def embed_sentence_reference(lib, tokens, window) -> np.ndarray:
+    """(n, d) vectors of a sentence's tokens, resolved the way the program did
+    before it indexed datasets: a library row, else the mean of the in-vocab rows
+    within +-window, else zeros."""
+    ids = np.array([lib.vocab.get(t, -1) for t in tokens], dtype=np.intp)
+    known = ids >= 0
+    out = np.zeros((len(ids), lib.dim))
+    out[known] = lib.matrix[ids[known]]
+    for t in np.flatnonzero(~known):
+        near = ids[max(0, t - window) : max(0, t + window + 1)]
+        near = near[near >= 0]
+        if near.size:
+            out[t] = lib.matrix[near].mean(axis=0)
+    return out
+
+
+def match_indices_reference(own, cand) -> np.ndarray:
+    """Max-cosine matching one query row at a time, one `cand @ q` product and one
+    `np.linalg.norm(q)` each: the program's matcher before it stacked the
+    queries. Ties and repeated rows go to the first row with the same bytes."""
+    first: dict[bytes, int] = {}
+    first_of = np.array([first.setdefault(r.tobytes(), i) for i, r in enumerate(cand)])
+    norms = np.linalg.norm(cand, axis=1)
+    nonzero = norms != 0.0
+    rows, row_norms = cand[nonzero], norms[nonzero]
+    sims = np.zeros(cand.shape[0])
+    out = np.zeros(own.shape[0], dtype=np.intp)
+    for t, q in enumerate(own):
+        qn = np.linalg.norm(q)
+        if qn != 0.0:
+            sims[nonzero] = (rows @ q) / (row_norms * qn)
+            out[t] = first_of[np.argmax(sims)]
+    return out
+
+
+def augment_pair_reference(pair, lib, window, biway):
+    """(z_h, z_p) of one pair as the program built them before it indexed
+    datasets: both sentences resolved, then matched and stacked per direction."""
+    prem = embed_sentence_reference(lib, pair.premise_tokens, window)
+    hyp = embed_sentence_reference(lib, pair.hypothesis_tokens, window)
+    z_h = np.hstack([hyp, prem[match_indices_reference(hyp, prem)]])
+    z_p = np.hstack([prem, hyp[match_indices_reference(prem, hyp)]]) if biway else None
+    return z_h, z_p

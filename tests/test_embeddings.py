@@ -97,6 +97,35 @@ class TestTextFormat:
         back = load_text_format(tmp_path / "out.txt")
         assert back.vocab == lib.vocab and np.array_equal(back.matrix, lib.matrix)
 
+    @pytest.mark.parametrize("later", ["a 1", "a\tb -2.5e3", "x nan", "a\nb", "a\rb", "tail ",
+                                       " head", "", "\t", "\ud800"])
+    def test_save_rejects_unreadable_later_word(self, tmp_path, later):
+        lib = EmbeddingLibrary({"cat": 0, "b c": 1, later: 2}, np.ones((3, 2)))
+        path = tmp_path / "later.txt"
+        message = f"{path}: the text format cannot hold word 3, {later!r}"
+        with pytest.raises(EmbeddingFormatError, match=re.escape(message)):
+            save_text_format(lib, path)
+        assert not path.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(st.text(max_size=6) | st.sampled_from(["a 1", "1", "x y", "é", "\x85"]),
+                          min_size=1, max_size=6, unique=True),
+           dim=st.integers(1, 3), data=st.data())
+    def test_save_raises_or_loads_back_equal(self, tmp_path_factory, words, dim, data):
+        values = data.draw(st.lists(st.floats(allow_nan=False), min_size=len(words) * dim,
+                                    max_size=len(words) * dim))
+        lib = EmbeddingLibrary({w: i for i, w in enumerate(words)},
+                               np.array(values).reshape(len(words), dim))
+        path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        path.unlink(missing_ok=True)
+        try:
+            save_text_format(lib, path)
+        except EmbeddingFormatError as exc:
+            assert str(path) in str(exc) and not path.exists()
+        else:
+            back = load_text_format(path)
+            assert back.vocab == lib.vocab and back.matrix.tobytes() == lib.matrix.tobytes()
+
 
 class TestBinaryFormat:
     def test_basic_load(self, tmp_path):
@@ -136,6 +165,19 @@ class TestBinaryFormat:
         with pytest.warns(UserWarning, match="invalid UTF-8"):
             lib = load_binary_format(path)
         assert len(lib) == 1
+
+    def test_messages_number_records_by_file_position(self, tmp_path):
+        # records 0 and 1 are the same word; the dropped duplicate still counts
+        vec = struct.pack("<2f", 1.0, 2.0)
+        body = b"a " + vec + b"\na " + vec + b"\n"
+        path = tmp_path / "e.bin"
+        for count, tail, message in ((3, b"\xff " + vec[:4], "truncated vector at record 2"),
+                                     (4, b"\xff " + vec + b"\nbbbbbbb", "truncated at record 3")):
+            path.write_bytes(f"{count} 2\n".encode() + body + tail)
+            for load in (load_binary_format, load_binary_oracle):
+                with pytest.warns(UserWarning, match="invalid UTF-8 in word at record 2;"):
+                    with pytest.raises(EmbeddingFormatError, match=message):
+                        load(path)
 
     def test_round_trip_float32(self, tmp_path):
         rng = make_rng(2)

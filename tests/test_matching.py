@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import random_library
+from helpers import (
+    augment_pair_reference,
+    embed_sentence_reference,
+    match_indices_reference,
+    random_library,
+)
 from maxcosine.data import SentencePair
-from maxcosine.embeddings import cosine, embed_sentence
-from maxcosine.matching import EmptySentenceError, match_indices, match_word
+from maxcosine.embeddings import EmbeddingLibrary, cosine, embed_sentence
+from maxcosine.matching import EmptySentenceError, index_pairs, match_indices, match_word
 from maxcosine.model import ModelConfig, augment_pair
 from maxcosine.numerics import make_rng
 
@@ -188,3 +193,88 @@ def test_augment_pair_equals_per_token_oracle(biway):
             assert z_p is None
     assert zero_rows > 0
 
+
+
+def test_stacked_matching_equals_per_row_reference():
+    # one stacked product for all query rows, bitwise the per-row matvecs: zero
+    # rows, repeated rows and near-ties between scaled copies included
+    rng = make_rng(40)
+    for trial in range(400):
+        m, n = int(rng.integers(1, 16)), int(rng.integers(1, 24))
+        d = int(rng.choice([2, 7, 300]))
+        pool = rng.standard_normal((6, d)) * rng.choice([1e-3, 1.0, 1e3])
+        pool[0] = 0.0
+        pool[1] = 3.0 * pool[2]
+
+        def rows(count):  # half from the pool, half fresh
+            fresh = rng.standard_normal((count - count // 2, d))
+            return np.vstack([pool[rng.integers(0, 6, size=count // 2)], fresh])
+
+        own, cand = rows(m), rows(n)
+        got = match_indices(own, cand)
+        assert got.tobytes() == match_indices_reference(own, cand).tobytes(), trial
+
+
+def oov_library(rng, dim):
+    """A library with a zero row and two words sharing one vector."""
+    lib = random_library(rng, n_words=30, dim=dim)
+    matrix = lib.matrix.copy()
+    matrix[3] = 0.0
+    matrix[5] = matrix[4]
+    return EmbeddingLibrary(lib.vocab, matrix)
+
+
+@pytest.mark.parametrize("dim", [5, 300])
+@pytest.mark.parametrize("biway", [False, True])
+def test_gathered_sequences_equal_per_pair_matching(biway, dim):
+    rng = make_rng(41 + dim)
+    lib = oov_library(rng, dim)
+    words = lib.words()[:10] + ["oovA", "oovB", "oovC"]  # repeats, and OOV tokens
+    pairs = [
+        # every neighbour within the window is OOV: zero rows on both sides
+        SentencePair(("oovA", "oovB", "w3", "oovC", "oovA"), ("oovC", "oovB", "w1"), 1, 0),
+        SentencePair(("w4", "w5", "w4"), ("w5", "w4", "oovA"), 2, 1),
+    ]
+    for i in range(80):
+        prem = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(1, 16))))
+        hyp = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(1, 10))))
+        pairs.append(SentencePair(prem, hyp, label=1, id=i + 2))
+    config = ModelConfig(embedding_dim=dim, k=1, biway=biway, oov_window=2)
+    index = index_pairs(pairs, lib, config)
+    assert index.table.dtype == np.float64 and len(index.hyp) == len(pairs)
+    assert all(rows.dtype == np.int32 for rows in index.hyp + (index.prem or []))
+    zero_rows = 0
+    for pair, gathered in zip(pairs, index.sequences(range(len(pairs)))):
+        want = augment_pair_reference(pair, lib, 2, biway)
+        for got in (gathered, augment_pair(pair, lib, config)):
+            assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+            assert (got[1] is None) == (not biway)
+            if biway:
+                assert got[1].tobytes() == want[1].tobytes() and got[1].shape == want[1].shape
+        zero_rows += int(np.sum(~want[0].any(axis=1)))
+    assert zero_rows > 0
+
+
+def test_embed_sentence_equals_reference():
+    rng = make_rng(42)
+    lib = oov_library(rng, 6)
+    words = lib.words()[:8] + ["oovA", "oovB"]
+    for window in (0, 1, 4):
+        for _ in range(40):
+            tokens = [str(w) for w in rng.choice(words, size=int(rng.integers(0, 12)))]
+            got = embed_sentence(lib, tokens, window)
+            assert got.shape == (len(tokens), 6)
+            assert got.tobytes() == embed_sentence_reference(lib, tokens, window).tobytes()
+
+
+def test_index_stores_each_distinct_row_once():
+    lib = EmbeddingLibrary({"a": 0, "b": 1}, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    pairs = [SentencePair(("a", "x", "b"), ("a", "y", "a"), 1, 0),
+             SentencePair(("q",), ("b", "a", "z"), 1, 1)]
+    index = index_pairs(pairs, lib, ModelConfig(embedding_dim=2, k=1, oov_window=1))
+    # rows a and b; the means for x (a and b) and for y and z (a alone, stored
+    # apart from the library row it equals); the zero row for q
+    assert len(index.table) == 5
+    own = [rows[:, 0].tolist() for rows in index.hyp]
+    assert own[0][0] == own[0][2] and own[0][1] == own[1][2] != own[0][0]
+    assert int(np.sum(~index.table.any(axis=1))) == 1

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import random_library, random_pairs
 from maxcosine import model as model_module
@@ -446,8 +447,9 @@ class TestCheckpoint:
         lambda data: _edit_header(data, lambda h: h["arrays"][0].update(name="lstm_h.W_x")),
         lambda data: _edit_header(data, lambda h: h["arrays"][0]["shape"].reverse()),
         lambda data: _edit_header(data, lambda h: h["config"].update(k=1000000)),
+        lambda data: data[:8] + struct.pack("<Q", 200_000) + b"[" * 100_000 + b"]" * 100_000,
     ], ids=["short_header", "bad_json", "unknown_config_key", "trailing_bytes",
-            "renamed_array", "reshaped_array", "huge_k"])
+            "renamed_array", "reshaped_array", "huge_k", "deep_json"])
     def test_corrupt_file_raises_checkpoint_error(self, tmp_path, corrupt):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, small_model(d=4, k=3))
@@ -467,6 +469,65 @@ class TestCheckpoint:
             save_checkpoint(path, model)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+header_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_checkpoints(draw, seeds):
+    """Bytes near a checkpoint of `seeds`: one edited and cut, or its magic and a
+    header of any JSON, config values of any type included, then its arrays, or
+    any bytes at all."""
+    kind = draw(st.sampled_from(["edit", "header", "config", "raw"]))
+    data = bytearray(draw(st.sampled_from(seeds)))
+    (hlen,) = struct.unpack("<Q", data[8:16])
+    if kind == "edit":
+        for i, byte in draw(st.lists(st.tuples(st.integers(0, len(data) - 1),
+                                               st.integers(0, 255)), max_size=4)):
+            data[i] = byte
+        return bytes(data[: draw(st.none() | st.integers(0, len(data)))])
+    if kind == "raw":
+        return draw(st.binary(max_size=64))
+    if kind == "header":
+        blob = json.dumps(draw(header_values)).encode()
+    else:
+        header = json.loads(data[16 : 16 + hlen])
+        for key in draw(st.lists(st.sampled_from(sorted(header["config"]) + ["x"]),
+                                 max_size=2)):
+            header["config"][key] = draw(header_values)
+        blob = json.dumps(header).encode()
+    length = draw(st.sampled_from([len(blob)]) | st.integers(0, 2**64 - 1))
+    return bytes(data[:8]) + struct.pack("<Q", length) + blob + bytes(data[16 + hlen :])
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    """The bytes of a small base and a small biway checkpoint."""
+    out = []
+    for biway in (False, True):
+        path = tmp_path_factory.mktemp("seed") / "seed.ckpt"
+        save_checkpoint(path, small_model(d=2, k=2, biway=biway))
+        out.append(path.read_bytes())
+    return out
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_bytes_end_in_model_or_checkpoint_error(tmp_path_factory, checkpoint_bytes, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(data.draw(damaged_checkpoints(checkpoint_bytes)))
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert isinstance(model, Model)
 
 
 class Unwritable:

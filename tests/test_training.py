@@ -3,9 +3,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from helpers import random_library, random_pairs
-from maxcosine import training
+from helpers import augment_pair_reference, random_library, random_pairs
+from maxcosine import matching, training
 from maxcosine.model import augment_pair, dropout_mask, init_model
 from maxcosine.numerics import make_rng
 from maxcosine.training import (
@@ -15,6 +16,7 @@ from maxcosine.training import (
     adam_step,
     cross_entropy,
     evaluate,
+    pair_losses,
     train,
 )
 
@@ -40,6 +42,17 @@ class TestCrossEntropy:
     def test_empty_batch(self):
         with pytest.raises(ValueError):
             cross_entropy([], [])
+
+    @given(st.lists(st.tuples(
+        st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-320, np.nan])),
+                 min_size=3, max_size=3),
+        st.integers(1, 3)), min_size=1, max_size=20))
+    def test_pair_losses_equal_cross_entropy_of_each_pair(self, rows):
+        probs = np.array([p for p, _ in rows])
+        gold = [label for _, label in rows]
+        got = pair_losses(probs, gold)
+        want = np.array([cross_entropy([p], [label]) for p, label in zip(probs, gold)])
+        assert got.tobytes() == want.tobytes()  # a certain label costs +0.0, not -0.0
 
 
 def scalar_params(value):
@@ -272,3 +285,48 @@ def test_training_starts_no_thread(pass_pool, biway):
     cfg = TrainConfig(k=4, batch_size=3, epochs=2, dropout_rate=0.2, biway=biway)
     train(pairs, pairs[:2], cfg, lib)
     assert threading.active_count() == before
+
+
+class PerBatchMatching:
+    """Stands in for a dataset index: it matches every pair again each time a
+    batch asks for it, as training did before datasets were indexed."""
+
+    def __init__(self, pairs, lib, config):
+        self.pairs, self.lib, self.config = pairs, lib, config
+
+    def sequences(self, which):
+        cfg = self.config
+        return [augment_pair_reference(self.pairs[i], self.lib, cfg.oov_window, cfg.biway)
+                for i in which]
+
+
+@pytest.mark.parametrize("biway", [False, True])
+def test_indexed_training_equals_matching_every_batch(monkeypatch, biway):
+    rng = make_rng(12)
+    lib = random_library(rng, n_words=20, dim=6)
+    pairs = random_pairs(rng, lib, 10)
+    pairs += [type(p)(p.premise_tokens + ("oov",), ("oov",) + p.hypothesis_tokens, p.label, 10 + i)
+              for i, p in enumerate(pairs[:4])]
+    cfg = TrainConfig(k=5, batch_size=4, epochs=3, dropout_rate=0.25, biway=biway, seed=3)
+    indexed = train(pairs, pairs[:6], cfg, lib)
+    monkeypatch.setattr(training, "index_pairs", PerBatchMatching)
+    rematched = train(pairs, pairs[:6], cfg, lib)
+    assert [h.train_loss for h in indexed.history] == [h.train_loss for h in rematched.history]
+    assert [h.val_accuracy for h in indexed.history] == [h.val_accuracy for h in rematched.history]
+    for name, value in indexed.best_model.parameters().items():
+        assert value.tobytes() == rematched.best_model.parameters()[name].tobytes()
+
+
+@pytest.mark.parametrize("biway", [False, True])
+def test_run_matches_each_pair_once_whatever_the_epochs(monkeypatch, biway):
+    calls = []
+    real = matching.match_indices
+    monkeypatch.setattr(matching, "match_indices", lambda *a: calls.append(1) or real(*a))
+    lib, pairs = memorization_setup(n_pairs=9)
+    train_pairs, val_pairs = pairs[:6], pairs[6:]
+    directions = 2 if biway else 1
+    for epochs in (1, 3):
+        calls.clear()
+        cfg = TrainConfig(k=4, batch_size=4, epochs=epochs, biway=biway)
+        assert len(train(train_pairs, val_pairs, cfg, lib).history) == epochs
+        assert len(calls) == directions * (len(train_pairs) + len(val_pairs))
