@@ -2,9 +2,10 @@
 
 Layout: 8-byte magic `MCLSTM\\x00\\x01`, an 8-byte little-endian header length,
 a UTF-8 JSON header `{"config": {...}, "arrays": [{"name", "shape"}, ...]}`,
-then each array's float64 row-major little-endian bytes in header order.
-The arrays are `Model.parameters()`, so each LSTM is stored as its per-gate
-`W_i … b_c` blocks. Round-trips are bit-exact.
+then the model's flat parameter array `theta` as float64 little-endian bytes.
+The header lists `Model.parameters()`, the arrays that tile `theta` in order,
+so each LSTM reads as its per-gate `W_i … b_c` blocks. Round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import itertools
 import json
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .model import Model, ModelConfig, parameter_count, zero_model
+from .model import Model, ModelConfig, parameter_count
 
 MAGIC = b"MCLSTM\x00\x01"
 
@@ -39,8 +41,7 @@ def save_checkpoint(path, model: Model) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for arr in params.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(model.theta, dtype="<f8"))
 
 
 def load_checkpoint(path) -> Model:
@@ -66,18 +67,19 @@ def load_checkpoint(path) -> Model:
                 raise CheckpointError(
                     f"{path}: config needs {need} bytes of arrays, file has {have}"
                 )
-            model = zero_model(config)
+            model = Model(config)
         except CheckpointError:
             raise
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise CheckpointError(f"{path}: bad header: {exc!r}") from None
-        params = model.parameters()
-        expected = [(name, view.shape) for name, view in params.items()]
+        expected = [(name, view.shape) for name, view in model.parameters().items()]
         for got, want in itertools.zip_longest(entries, expected):
             if got != want:
                 raise CheckpointError(f"{path}: header lists array {got}, config needs {want}")
-        for view in params.values():
-            view[...] = np.frombuffer(fh.read(view.nbytes), dtype="<f8").reshape(view.shape)
+        if fh.readinto(model.theta) != model.theta.nbytes:
+            raise CheckpointError(f"{path}: arrays cut short while reading")
+    if sys.byteorder != "little":
+        model.theta.byteswap(inplace=True)
     return model
 
 

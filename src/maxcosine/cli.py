@@ -19,7 +19,6 @@ from .embeddings import (
     DEFAULT_OOV_WINDOW,
     EmbeddingLibrary,
     concat_libraries,
-    cosine,
     embed_sentence,
     load_binary_format,
     load_text_format,
@@ -249,7 +248,10 @@ def cmd_match(args) -> int:
     prem_rows = embed_sentence(lib, prem, window)
     hyp_rows = embed_sentence(lib, hyp, window)
     for t, idx in enumerate(match_indices(hyp_rows, prem_rows)):
-        print(f"{hyp[t]} -> {prem[idx]} ({cosine(hyp_rows[t], prem_rows[idx]):.4f})")
+        q, c = hyp_rows[t], prem_rows[idx]
+        norms = np.linalg.norm(q) * np.linalg.norm(c)
+        cosine = np.dot(q, c) / norms if norms else 0.0  # a zero row scores 0
+        print(f"{hyp[t]} -> {prem[idx]} ({cosine:.4f})")
     return 0
 
 

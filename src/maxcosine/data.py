@@ -96,8 +96,9 @@ def load_snli(path, max_pairs: Optional[int] = None) -> tuple[list[SentencePair]
     """
     pairs: list[SentencePair] = []
     report = LoadReport()
-    # undecodable bytes become lone surrogates, found per line by _fields
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # undecodable bytes become lone surrogates, found per line by _fields; only
+    # LF ends a line, so a raw CR inside one leaves the later line numbers alone
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             report.total_lines += 1
             fields = _fields(line)

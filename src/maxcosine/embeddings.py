@@ -1,5 +1,5 @@
-"""Word-embedding libraries: text and binary loaders, cosine similarity,
-concatenation of two libraries, and windowed OOV averaging."""
+"""Word-embedding libraries: text and binary loaders, concatenation of two
+libraries, and windowed OOV averaging."""
 
 from __future__ import annotations
 
@@ -56,18 +56,6 @@ class EmbeddingLibrary:
         return EmbeddingLibrary(self.vocab, self.matrix * c, self.duplicates_dropped)
 
 
-def cosine(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"cosine length mismatch: {x.shape} vs {y.shape}")
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return float(np.dot(x, y) / (nx * ny))
-
-
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -86,8 +74,14 @@ def load_text_format(path, expected_dim: Optional[int] = None) -> EmbeddingLibra
     rows: list[np.ndarray] = []
     dim = None
     dupes = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which do not encode back
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: not valid UTF-8") from None
             parts = line.split() if dim is None else line.rsplit(maxsplit=dim)
             if not parts:
                 continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -108,11 +109,18 @@ def load_ensemble(manifest_path) -> Ensemble:
     relative to the manifest's directory unless absolute."""
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
-            paths = [Path(entry["checkpoint"]) for entry in json.load(fh)["members"]]
-    except (KeyError, TypeError, ValueError) as exc:
+            paths = [entry["checkpoint"] for entry in json.load(fh)["members"]]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ManifestError(f"{manifest_path}: bad manifest: {exc!r}") from None
     if not paths:
         raise ManifestError(f"{manifest_path}: no members")
+    for p in paths:
+        try:
+            usable = isinstance(p, str) and "\0" not in p and os.fsencode(p) != b""
+        except UnicodeEncodeError:  # a lone surrogate the file system cannot take
+            usable = False
+        if not usable:
+            raise ManifestError(f"{manifest_path}: member checkpoint {p!r} is not a file path")
     base = Path(manifest_path).parent
     return Ensemble(members=[load_checkpoint(base / p) for p in paths])
 

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from .data import SentencePair
-from .embeddings import EmbeddingLibrary, RowTable, cosine
+from .embeddings import EmbeddingLibrary, RowTable
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -19,25 +19,10 @@ class EmptySentenceError(ValueError):
     """A sentence tokenized to nothing; the pair should be skipped upstream."""
 
 
-def match_word(query, candidates: Sequence) -> int:
-    """Index of the candidate with the highest cosine similarity to query.
-
-    Ties break toward the smallest index.
-    """
-    if len(candidates) == 0:
-        raise ValueError("empty candidate list")
-    best, best_sim = 0, -np.inf
-    for i, cand in enumerate(candidates):
-        sim = cosine(query, cand)
-        if sim > best_sim:
-            best, best_sim = i, sim
-    return best
-
-
 def match_indices(own: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """(m,) index of the most cosine-similar row of `cand` (n, d) for each row of
-    `own` (m, d), as match_word picks it: a zero-norm candidate scores 0, a zero
-    query matches index 0, and ties go to the smallest index.
+    `own` (m, d): a zero-norm candidate scores 0, a zero query matches index 0,
+    and ties go to the smallest index.
 
     The similarities of all query rows are one stacked product, a `cand @ q`
     matrix-vector product per query row, and each query's norm is its own dot

@@ -3,7 +3,9 @@ passes for the base and biway architectures."""
 
 from __future__ import annotations
 
-import copy
+import dataclasses
+import itertools
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +46,32 @@ class ModelConfig:
 GATES = ("i", "f", "o", "c")
 
 
+class Params(dict):
+    """Named arrays that are reshaped views of consecutive slices of one flat
+    array, `flat`, in insertion order, with no gap or overlap."""
+
+    def __init__(self, flat: np.ndarray, shapes: Sequence[tuple[str, tuple[int, ...]]]):
+        sizes = [math.prod(shape) for _, shape in shapes]
+        if flat.shape != (sum(sizes),):
+            raise ValueError(f"flat array of shape {flat.shape} for {sum(sizes)} values")
+        super().__init__(
+            (name, flat[end - size : end].reshape(shape))
+            for (name, shape), size, end in zip(shapes, sizes, itertools.accumulate(sizes))
+        )
+        self.flat = flat
+
+    def zeros_like(self) -> "Params":
+        return Params(np.zeros_like(self.flat), [(name, a.shape) for name, a in self.items()])
+
+    def name_at(self, i: int) -> str:
+        """The name of the array that holds `flat[i]`."""
+        for name, a in self.items():
+            if i < a.size:
+                return name
+            i -= a.size
+        raise IndexError(i)
+
+
 @dataclass
 class LstmParams:
     """The four gates stacked in `GATES` order: row block j of `W` and `b` is
@@ -59,17 +87,6 @@ class LstmParams:
     @property
     def input_dim(self) -> int:
         return self.W.shape[1] - self.hidden_size
-
-
-def gate_views(params: LstmParams) -> dict[str, np.ndarray]:
-    """Per-gate row views `W_i … W_c, b_i … b_c`: the names under which
-    parameters(), backward() and checkpoints expose an LSTM."""
-    k = params.hidden_size
-    out = {}
-    for prefix, arr in (("W", params.W), ("b", params.b)):
-        for j, gate in enumerate(GATES):
-            out[f"{prefix}_{gate}"] = arr[j * k : (j + 1) * k]
-    return out
 
 
 @dataclass
@@ -109,77 +126,70 @@ class ForwardTrace:
     probabilities: np.ndarray          # (B, 3)
 
 
-class Model:
-    def __init__(
-        self,
-        config: ModelConfig,
-        lstm_h: LstmParams,
-        softmax_params: SoftmaxParams,
-        lstm_p: Optional[LstmParams] = None,
-    ):
-        if config.biway and lstm_p is None:
-            raise ValueError("biway model requires a second LstmParams")
-        self.config = config
-        self.lstm_h = lstm_h
-        self.lstm_p = lstm_p
-        self.softmax = softmax_params
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Live views of every trainable array, in a fixed deterministic order."""
-        out: dict[str, np.ndarray] = {}
-        groups = [("lstm_h", self.lstm_h)]
-        if self.config.biway:
-            groups.append(("lstm_p", self.lstm_p))
-        for prefix, p in groups:
-            for name, view in gate_views(p).items():
-                out[f"{prefix}.{name}"] = view
-        out["softmax.W_s"] = self.softmax.W_s
-        out["softmax.b_s"] = self.softmax.b_s
-        return out
-
-    def copy(self) -> "Model":
-        return Model(
-            config=copy.deepcopy(self.config),
-            lstm_h=copy.deepcopy(self.lstm_h),
-            softmax_params=copy.deepcopy(self.softmax),
-            lstm_p=copy.deepcopy(self.lstm_p),
-        )
-
-
-def _glorot(rng: np.random.Generator, rows: int, shape: tuple[int, int]) -> np.ndarray:
-    """Uniform draw with the Glorot limit of a (rows, shape[1]) matrix; a stacked
-    matrix of several such blocks consumes the stream as one draw per block would."""
-    limit = np.sqrt(6.0 / (rows + shape[1]))
-    return rng.uniform(-limit, limit, size=shape)
+def _layout(config: ModelConfig, per_gate: bool) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every array of a model of `config`, in checkpoint order:
+    `lstm_h.W, lstm_h.b, [lstm_p.W, lstm_p.b], softmax.W_s, softmax.b_s`, each
+    LSTM array split into its gates' row blocks `W_i … W_c`, `b_i … b_c` when
+    `per_gate`."""
+    k, n = config.k, config.input_dim + config.k
+    lstms = ("lstm_h", "lstm_p") if config.biway else ("lstm_h",)
+    out = []
+    for lstm in lstms:
+        for name, shape in (("W", (k, n)), ("b", (k,))):
+            if per_gate:
+                out += [(f"{lstm}.{name}_{gate}", shape) for gate in GATES]
+            else:
+                out.append((f"{lstm}.{name}", (len(GATES) * k,) + shape[1:]))
+    return out + [("softmax.W_s", (N_LABELS, len(lstms) * k)), ("softmax.b_s", (N_LABELS,))]
 
 
 def parameter_count(config: ModelConfig) -> int:
-    """Number of float64 values in a model of `config`, as zero_model lays it out."""
-    k = config.k
-    lstms = 2 if config.biway else 1
-    return lstms * len(GATES) * k * (config.input_dim + k + 1) + N_LABELS * (lstms * k + 1)
+    """Number of values in a model of `config`, the length of its `theta`."""
+    return sum(math.prod(shape) for _, shape in _layout(config, per_gate=False))
 
 
-def zero_model(config: ModelConfig) -> Model:
-    """A model with every parameter zero, in the shapes `config` implies."""
-    k, n = config.k, config.input_dim + config.k
+class Model:
+    """Every parameter is a view of `theta`, one flat array of
+    `parameter_count(config)` values in checkpoint order, zeros when not given."""
 
-    def lstm() -> LstmParams:
-        return LstmParams(W=np.zeros((len(GATES) * k, n)), b=np.zeros(len(GATES) * k))
+    def __init__(self, config: ModelConfig, theta: Optional[np.ndarray] = None):
+        self.config = config
+        self.theta = np.zeros(parameter_count(config)) if theta is None else theta
+        arrays = Params(self.theta, _layout(config, per_gate=False))
+        self.lstm_h = LstmParams(arrays["lstm_h.W"], arrays["lstm_h.b"])
+        self.lstm_p = LstmParams(arrays["lstm_p.W"], arrays["lstm_p.b"]) if config.biway else None
+        self.softmax = SoftmaxParams(arrays["softmax.W_s"], arrays["softmax.b_s"])
 
-    softmax_cols = 2 * k if config.biway else k
-    softmax_params = SoftmaxParams(W_s=np.zeros((N_LABELS, softmax_cols)), b_s=np.zeros(N_LABELS))
-    return Model(config, lstm(), softmax_params, lstm() if config.biway else None)
+    def parameters(self) -> Params:
+        """Live views of every trainable array, each LSTM as its per-gate
+        `W_i … b_c` row blocks, in checkpoint order over `theta`."""
+        return Params(self.theta, _layout(self.config, per_gate=True))
+
+    def copy(self) -> "Model":
+        return Model(dataclasses.replace(self.config), self.theta.copy())
+
+    def __reduce__(self):
+        # a pickled view would come back as a separate copy of its values
+        return Model, (self.config, self.theta)
+
+
+def _glorot(rng: np.random.Generator, rows: int, out: np.ndarray) -> None:
+    """Fill `out` with a uniform draw at the Glorot limit of a (rows, out.shape[1])
+    matrix, `rows` rows at a time; filling block by block reads the stream
+    exactly as one draw of the whole of `out` would."""
+    limit = np.sqrt(6.0 / (rows + out.shape[1]))
+    for start in range(0, out.shape[0], rows):
+        out[start : start + rows] = rng.uniform(-limit, limit, size=(rows, out.shape[1]))
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     """Uniform Glorot weights (per gate for the LSTMs), zero biases; biway
     allocates two independent LSTMs."""
-    model = zero_model(config)
+    model = Model(config)
     for lstm in (model.lstm_h, model.lstm_p):
         if lstm is not None:
-            lstm.W = _glorot(rng, config.k, lstm.W.shape)
-    model.softmax.W_s = _glorot(rng, N_LABELS, model.softmax.W_s.shape)
+            _glorot(rng, config.k, lstm.W)
+    _glorot(rng, N_LABELS, model.softmax.W_s)
     return model
 
 
@@ -406,10 +416,10 @@ def lstm_backward(
 
 def backward(
     model: Model, trace: ForwardTrace, labels: Sequence[int], out: Optional[Model] = None
-) -> dict[str, np.ndarray]:
+) -> Params:
     """Gradients of the cross-entropy loss summed over the batch, keyed like
-    parameters(). They are written into `out`, a `zero_model` of the same
-    config, when given, and into a new one otherwise.
+    parameters(). They are written into `out`, a model of the same config,
+    when given, and into a new one otherwise.
 
     Embedding vectors receive no gradient; they are fixed inputs.
     """
@@ -420,7 +430,7 @@ def backward(
         if label not in LABEL_NAMES:
             raise ValueError(f"invalid gold label {label}")
     if out is None:
-        out = zero_model(model.config)
+        out = Model(model.config)
     dp = probs.copy()
     dp[np.arange(len(labels)), np.asarray(labels) - 1] -= 1.0
     np.matmul(dp.T, trace.h_out, out=out.softmax.W_s)

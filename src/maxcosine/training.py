@@ -15,11 +15,11 @@ from .matching import PairIndex, index_pairs
 from .model import (
     Model,
     ModelConfig,
+    Params,
     backward,
     check_library_dim,
     forward_batch,
     init_model,
-    zero_model,
 )
 from .numerics import make_rng
 
@@ -93,44 +93,41 @@ def cross_entropy(probabilities: Sequence[np.ndarray], gold: Sequence[int]) -> f
     return total / len(probabilities)
 
 
+ADAM_CHUNK = 1 << 15  # values updated at a time: six arrays of chunks, 1.5 MiB, fit a 2 MiB L2
+
+
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: Params
+    v: Params
+    work: np.ndarray  # (2, n) scratch, n at most ADAM_CHUNK
     t: int = 0
-    # two work arrays per parameter shape, shared by every parameter of that shape
-    scratch: dict[tuple, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(a) for k, a in params.items()},
-            v={k: np.zeros_like(a) for k, a in params.items()},
-        )
+    def for_params(cls, params: Params) -> "AdamState":
+        work = np.empty((2, min(params.flat.size, ADAM_CHUNK)))
+        return cls(m=params.zeros_like(), v=params.zeros_like(), work=work)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> None:
+def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConfig) -> None:
     """One Adam update with bias correction, of `params`, `state.m` and `state.v`
-    in place. It does the textbook formula's operations in its order, so the
-    result is bitwise that of m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
-    theta -= lr m_hat / (sqrt(v_hat) + eps), without allocating per step."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError(f"non-finite gradient in {name}")
+    in place, over their flat arrays a chunk at a time. It does the textbook
+    formula's operations in its order, so the result is bitwise that of
+    m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
+    theta -= lr m_hat / (sqrt(v_hat) + eps), without allocating per chunk.
+    A non-finite gradient raises before anything is updated."""
+    finite = np.isfinite(grads.flat)
+    if not finite.all():
+        raise DivergenceError(f"non-finite gradient in {grads.name_at(int(np.argmin(finite)))}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name, theta in params.items():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        if theta.shape not in state.scratch:
-            state.scratch[theta.shape] = (np.empty_like(theta), np.empty_like(theta))
-        s, u = state.scratch[theta.shape]
+    for start in range(0, params.flat.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        theta, g = params.flat[chunk], grads.flat[chunk]
+        m, v = state.m.flat[chunk], state.v.flat[chunk]
+        s, u = state.work[:, : theta.size]
         np.multiply(g, 1.0 - b1, out=s)
         m *= b1
         m += s
@@ -211,10 +208,10 @@ def train(
     params = model.parameters()
     state = AdamState.for_params(params)
     # every batch's gradient is written into this one buffer
-    grad_model = zero_model(model.config)
+    grad_model = Model(model.config)
     grads = grad_model.parameters()
-
-    best_model = model.copy()
+    # epoch 1 always beats best_acc, so this is written before it is returned
+    best_model = Model(model.config)
     best_epoch = 0
     best_acc = -1.0
     history: list[EpochMetrics] = []
@@ -241,8 +238,7 @@ def train(
                     loss_sum += loss
                 backward(model, trace, [pair.label for pair in batch], out=grad_model)
                 del seqs, trace  # freed before the next batch's are built
-                for g in grads.values():
-                    g /= len(batch)
+                grad_model.theta /= len(batch)
                 adam_step(params, grads, state, config)
             trained = time.perf_counter()
             train_loss = loss_sum / n
@@ -260,7 +256,7 @@ def train(
             if val.accuracy > best_acc:
                 best_acc = val.accuracy
                 best_epoch = epoch
-                best_model = model.copy()
+                np.copyto(best_model.theta, model.theta)
             if (
                 config.target_val_accuracy is not None
                 and val.accuracy >= config.target_val_accuracy

@@ -8,6 +8,7 @@ import numpy as np
 
 from maxcosine.data import SentencePair
 from maxcosine.embeddings import EmbeddingFormatError, EmbeddingLibrary
+from maxcosine.model import Params
 
 
 def random_library(rng, n_words=24, dim=8):
@@ -25,6 +26,32 @@ def random_pairs(rng, lib, n, min_len=3, max_len=6):
         hyp = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(min_len, max_len + 1))))
         out.append(SentencePair(prem, hyp, label=int(rng.integers(1, 4)), id=i))
     return out
+
+
+def flat_params(arrays) -> Params:
+    """Copies of a dict of float64 arrays, as views of one flat array in dict
+    order: the layout `Model.parameters()` gives and `adam_step` takes."""
+    out = Params(np.zeros(sum(a.size for a in arrays.values())),
+                 [(name, a.shape) for name, a in arrays.items()])
+    for name, a in arrays.items():
+        out[name][...] = a
+    return out
+
+
+def assert_views_tile_theta(model) -> None:
+    """Every array of `model`, by name and as the model computes with it, is a
+    view of `model.theta`, and each list of them tiles it in checkpoint order
+    with no gap or overlap: writing 0, 1, 2, ... into theta reads back so."""
+    model.theta[:] = np.arange(model.theta.size)
+    lstms = [model.lstm_h] + ([model.lstm_p] if model.config.biway else [])
+    blocks = [a for lstm in lstms for a in (lstm.W, lstm.b)] + [model.softmax.W_s,
+                                                               model.softmax.b_s]
+    for arrays in (list(model.parameters().values()), blocks):
+        start = 0
+        for a in arrays:
+            assert np.array_equal(a.ravel(), np.arange(start, start + a.size))
+            start += a.size
+        assert start == model.theta.size
 
 
 def load_binary_oracle(path) -> EmbeddingLibrary:
@@ -88,6 +115,33 @@ def load_binary_oracle(path) -> EmbeddingLibrary:
             rows[n] = vec
             n += 1
     return EmbeddingLibrary(vocab, rows[:n], duplicates_dropped=dupes)
+
+
+def cosine(x, y) -> float:
+    """Cosine similarity of two vectors, 0.0 when either has zero norm."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"cosine length mismatch: {x.shape} vs {y.shape}")
+    nx = np.linalg.norm(x)
+    ny = np.linalg.norm(y)
+    if nx == 0.0 or ny == 0.0:
+        return 0.0
+    return float(np.dot(x, y) / (nx * ny))
+
+
+def match_word(query, candidates) -> int:
+    """Index of the candidate with the highest cosine similarity to query, ties
+    to the smallest index: the matching oracle `matching.match_indices` must
+    equal."""
+    if len(candidates) == 0:
+        raise ValueError("empty candidate list")
+    best, best_sim = 0, -np.inf
+    for i, cand in enumerate(candidates):
+        sim = cosine(query, cand)
+        if sim > best_sim:
+            best, best_sim = i, sim
+    return best
 
 
 def embed_sentence_reference(lib, tokens, window) -> np.ndarray:

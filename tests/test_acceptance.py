@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_library, random_pairs
+from helpers import flat_params, match_word, random_library, random_pairs
 from maxcosine.cli import load_library
 from maxcosine.data import load_snli
 from maxcosine.embeddings import embed_sentence
 from maxcosine.ensemble import Ensemble, predict_ensemble
 from maxcosine.gradcheck import model_gradient_check
-from maxcosine.matching import match_indices, match_word
+from maxcosine.matching import match_indices
 from maxcosine.model import decide, forward, init_model
 from maxcosine.numerics import make_rng, softmax
 from maxcosine.training import AdamState, TrainConfig, adam_step, cross_entropy, train
@@ -93,23 +93,24 @@ def test_criterion_3_softmax_cross_entropy_identities():
 
 def test_criterion_4_adam_contract():
     cfg = TrainConfig()
-    params = {"w": np.array([0.3, -0.7])}
+    params = flat_params({"w": np.array([0.3, -0.7])})
     state = AdamState.for_params(params)
     before = params["w"].copy()
-    adam_step(params, {"w": np.zeros(2)}, state, cfg)
+    adam_step(params, flat_params({"w": np.zeros(2)}), state, cfg)
     zero_ok = np.array_equal(params["w"], before)
 
     rng = make_rng(400)
     bound_ok = True
     for scale in (1e-9, 1e-3, 1.0, 1e4):
-        p = {"w": rng.standard_normal(30)}
+        p = flat_params({"w": rng.standard_normal(30)})
         b = p["w"].copy()
-        adam_step(p, {"w": rng.standard_normal(30) * scale}, AdamState.for_params(p), cfg)
+        adam_step(p, flat_params({"w": rng.standard_normal(30) * scale}),
+                  AdamState.for_params(p), cfg)
         if not np.all(np.abs(p["w"] - b) <= 0.001 * (1 + 1e-6)):
             bound_ok = False
 
-    p = {"t": np.array([0.5])}
-    adam_step(p, {"t": np.array([1.0])}, AdamState.for_params(p), cfg)
+    p = flat_params({"t": np.array([0.5])})
+    adam_step(p, flat_params({"t": np.array([1.0])}), AdamState.for_params(p), cfg)
     hand_ok = abs(p["t"][0] - (0.5 - 0.001 / (1 + 1e-8))) < 1e-9
     report(4, zero_ok and bound_ok and hand_ok, "zero-grad, first-step bound, hand example")
 

@@ -180,6 +180,15 @@ def test_eval_bad_manifest_fails(workspace, capsys):
     assert err.startswith(f"error: {bad}: bad manifest") and "Traceback" not in err
 
 
+def test_eval_deeply_nested_manifest_fails(workspace, capsys):
+    tmp_path, emb, data = workspace
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"members": ' + "[" * 100_000)
+    assert main(["eval", str(bad), str(data), "--embeddings", str(emb)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: bad manifest") and "Traceback" not in err
+
+
 def test_ensemble_train_and_eval(workspace, capsys):
     tmp_path, emb, data = workspace
     out_dir = tmp_path / "ens"

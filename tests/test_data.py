@@ -167,3 +167,29 @@ def test_any_bytes_end_in_pairs_or_data_format_error(tmp_path_factory, body):
     else:
         assert report.consistent() and report.emitted == len(pairs)
         assert all(p.premise_tokens and p.hypothesis_tokens for p in pairs)
+
+
+def numbered_lines(n):
+    """n valid JSONL lines, each pair's premise ending in its line number."""
+    return [json.dumps({"gold_label": "neutral", "sentence1": f"a cat {i}",
+                        "sentence2": "a pet"}).encode() for i in range(1, n + 1)]
+
+
+def test_raw_cr_inside_a_line_does_not_split_it(tmp_path):
+    rows = numbered_lines(305)
+    rows[300] = rows[300].replace(b"a cat", b"a\rcat")  # a raw CR in a JSON string
+    path = tmp_path / "cr.jsonl"
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    pairs, report = load_snli(path)
+    assert report.total_lines == 305 and report.malformed_lines == [301]
+    assert report.consistent() and pairs[-1].id == 305
+    assert [p.id for p in pairs] == [int(p.premise_tokens[-1]) for p in pairs]
+
+
+def test_crlf_file_loads_as_lf(tmp_path):
+    lf = b"\n".join(numbered_lines(20)) + b"\n"
+    (tmp_path / "lf.jsonl").write_bytes(lf)
+    (tmp_path / "crlf.jsonl").write_bytes(lf.replace(b"\n", b"\r\n"))
+    pairs, report = load_snli(tmp_path / "lf.jsonl")
+    assert (pairs, report) == load_snli(tmp_path / "crlf.jsonl")
+    assert report.emitted == 20 and report.malformed == 0

@@ -5,15 +5,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import load_binary_oracle
+from helpers import cosine, load_binary_oracle
 from maxcosine import embeddings
 from maxcosine.embeddings import (
     EmbeddingFormatError,
     EmbeddingLibrary,
     concat_libraries,
-    cosine,
     embed_sentence,
     load_binary_format,
     load_text_format,
@@ -26,6 +25,13 @@ from maxcosine.numerics import make_rng
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# the fields a text line is drawn from: words, one with a space, numbers, invalid
+# UTF-8, a lone CR, an empty field, or any few bytes
+TEXT_FIELDS = st.sampled_from(
+    [b"cat", "日本".encode(), b". .", b"0.5", b"-2e3", b"nan", b"1_0", b"\xff", b"\r", b""]
+) | st.binary(max_size=4)
 
 
 class TestTextFormat:
@@ -62,6 +68,25 @@ class TestTextFormat:
         )
         assert lib.words() == ["cat", ". . .", "at  x@y.com"]
         assert np.array_equal(lib.vector(". . ."), [0.3, 0.4])
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"cat 1.0 2.0\n\xff\xfe 3.0 4.0\n")
+        with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}:2: not valid UTF-8")):
+            load_text_format(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(body=st.lists(st.lists(TEXT_FIELDS, max_size=5).map(b" ".join), max_size=6).map(
+        b"\n".join) | st.binary(max_size=100))
+    def test_any_bytes_end_in_library_or_format_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_bytes(body)
+        try:
+            lib = load_text_format(path)
+        except EmbeddingFormatError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert len(lib) == len(lib.vocab) > 0 and lib.matrix.dtype == np.float64
 
     @pytest.mark.parametrize("line", ["dog 0.3", "dog 0.3 0.4 0.5", ". . . 0.3 0.4 0.5"])
     def test_wrong_field_count_names_line(self, tmp_path, line):

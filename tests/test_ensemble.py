@@ -6,10 +6,11 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import random_library, random_pairs
+from helpers import assert_views_tile_theta, random_library, random_pairs
 from maxcosine import model as model_module
+from maxcosine.checkpoint import CheckpointError, save_checkpoint
 from maxcosine.ensemble import (
     Ensemble,
     ManifestError,
@@ -211,13 +212,29 @@ class TestManifest:
         '[{"checkpoint": "a.ckpt"}]',
         '{"members": [',
         '{"members": []}',
+        '{"members": ' + "[" * 100_000,
+        '{"members": [{"checkpoint": ""}]}',
+        '{"members": [{"checkpoint": 3}]}',
+        '{"members": [{"checkpoint": null}]}',
+        '{"members": [{"checkpoint": "a\\u0000b"}]}',
+        '{"members": [{"checkpoint": "\\ud800"}]}',
     ], ids=["empty_object", "entry_without_checkpoint", "members_not_a_list", "top_level_list",
-            "invalid_json", "no_members"])
+            "invalid_json", "no_members", "deep_nesting", "empty_checkpoint",
+            "number_checkpoint", "null_checkpoint", "nul_in_checkpoint",
+            "unencodable_checkpoint"])
     def test_bad_manifest_raises_manifest_error(self, tmp_path, text):
         path = tmp_path / "ensemble.json"
         path.write_text(text)
         with pytest.raises(ManifestError, match=re.escape(str(path))):
             load_ensemble(path)
+
+    def test_members_from_worker_processes_alias_their_theta(self):
+        lib, pairs = setup()
+        group, _ = train_ensemble(quick_config(), [1, 2], pairs, pairs[:3], lib, workers=2)
+        serial, _ = train_ensemble(quick_config(), [1, 2], pairs, pairs[:3], lib)
+        for member, same in zip(group.members, serial.members):
+            assert member.theta.tobytes() == same.theta.tobytes()
+            assert_views_tile_theta(member)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ensemble.json"
@@ -233,3 +250,54 @@ class TestManifest:
             save_manifest(path, ["b.ckpt"], [2])
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ensemble.json"]
+
+
+manifest_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# a member's field: a real checkpoint, a missing file, a directory, an empty or
+# unusable path, or any JSON value
+member_fields = st.sampled_from(
+    ["member.ckpt", "missing.ckpt", ".", "", "\0", "\ud800", "member.ckpt/x"]
+) | manifest_values
+
+
+@st.composite
+def manifests(draw):
+    """The text of a manifest whose members' fields take any value, or of any JSON."""
+    if draw(st.booleans()):
+        return json.dumps(draw(manifest_values))
+    members = draw(st.lists(
+        st.dictionaries(st.sampled_from(["checkpoint", "seed", "x"]), member_fields, max_size=3)
+        | manifest_values, max_size=3))
+    return json.dumps({"members": members})
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """A directory holding one small member checkpoint, member.ckpt."""
+    out = tmp_path_factory.mktemp("manifests")
+    lib, _ = setup()
+    save_checkpoint(out / "member.ckpt",
+                    init_model(quick_config(seed=1).model_config(lib.dim), make_rng(1)))
+    return out
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=manifests())
+def test_any_manifest_ends_in_ensemble_or_typed_error(manifest_dir, text):
+    path = manifest_dir / "ensemble.json"
+    path.write_text(text)
+    try:
+        group = load_ensemble(path)
+    except ManifestError as exc:
+        assert str(path) in str(exc)
+    except OSError as exc:  # a member path that names no file to read
+        assert exc.filename is not None
+    except CheckpointError:  # a file that is not a checkpoint
+        pass
+    else:
+        assert all(m.theta.size for m in group.members)

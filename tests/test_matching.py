@@ -3,13 +3,15 @@ import pytest
 
 from helpers import (
     augment_pair_reference,
+    cosine,
     embed_sentence_reference,
     match_indices_reference,
+    match_word,
     random_library,
 )
 from maxcosine.data import SentencePair
-from maxcosine.embeddings import EmbeddingLibrary, cosine, embed_sentence
-from maxcosine.matching import EmptySentenceError, index_pairs, match_indices, match_word
+from maxcosine.embeddings import EmbeddingLibrary, embed_sentence
+from maxcosine.matching import EmptySentenceError, index_pairs, match_indices
 from maxcosine.model import ModelConfig, augment_pair
 from maxcosine.numerics import make_rng
 

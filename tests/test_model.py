@@ -1,7 +1,9 @@
 import hashlib
+import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import struct
 import sys
@@ -12,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import random_library, random_pairs
+from helpers import assert_views_tile_theta, random_library, random_pairs
 from maxcosine import model as model_module
-from maxcosine.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from maxcosine.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from maxcosine.data import SentencePair
 from maxcosine.embeddings import EmbeddingLibrary
 from maxcosine.gradcheck import model_gradient_check
@@ -30,6 +32,7 @@ from maxcosine.model import (
     forward_batch,
     init_model,
     lstm_forward,
+    parameter_count,
 )
 from maxcosine.numerics import make_rng
 
@@ -251,11 +254,9 @@ class TestForward:
         model = small_model(d=6, k=5, biway=True)
         model.softmax.W_s[:, :5] = 0.0  # premise-side columns
         probs_biway, trace = forward(model, pair, lib)
-        base = Model(
-            config=ModelConfig(embedding_dim=6, k=5),
-            lstm_h=model.lstm_h,
-            softmax_params=SoftmaxParams(W_s=model.softmax.W_s[:, 5:], b_s=model.softmax.b_s),
-        )
+        base = Model(ModelConfig(embedding_dim=6, k=5))
+        base.lstm_h.W[...], base.lstm_h.b[...] = model.lstm_h.W, model.lstm_h.b
+        base.softmax.W_s[...], base.softmax.b_s[...] = model.softmax.W_s[:, 5:], model.softmax.b_s
         probs_base, _ = forward(base, pair, lib)
         assert np.allclose(probs_biway, probs_base, atol=1e-12)
 
@@ -406,6 +407,58 @@ class TestBackward:
             backward(model, trace, [0])
 
 
+@pytest.mark.parametrize("biway", [False, True])
+class TestParameterBuffer:
+    def test_parameters_tile_theta_in_checkpoint_order(self, biway):
+        model = small_model(d=3, k=4, biway=biway)
+        lstms = ("lstm_h", "lstm_p")[: 1 + biway]
+        assert list(model.parameters()) == [
+            f"{lstm}.{w}_{gate}" for lstm in lstms for w in "Wb" for gate in "ifoc"
+        ] + ["softmax.W_s", "softmax.b_s"]
+        assert model.theta.shape == (parameter_count(model.config),)
+        assert_views_tile_theta(model)
+
+    def test_pickled_model_views_alias_its_theta(self, biway):
+        model = small_model(d=3, k=4, biway=biway)
+        back = pickle.loads(pickle.dumps(model))
+        assert back.config == model.config and back.theta.tobytes() == model.theta.tobytes()
+        assert_views_tile_theta(back)
+
+    def test_copy_owns_its_theta(self, biway):
+        model = small_model(d=3, k=4, biway=biway)
+        twin = model.copy()
+        assert twin.theta.tobytes() == model.theta.tobytes()
+        assert not np.shares_memory(twin.theta, model.theta)
+        assert_views_tile_theta(twin)
+
+
+def per_array_checkpoint(model) -> bytes:
+    """A checkpoint as it was written before the flat buffer: the header, then
+    each array of parameters() on its own."""
+    params = model.parameters()
+    header = {
+        "config": dataclasses.asdict(model.config),
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in params.items()],
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    arrays = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.values())
+    return MAGIC + struct.pack("<Q", len(blob)) + blob + arrays
+
+
+@pytest.mark.parametrize("kind", ["base", "biway", "bi_embedding"])
+def test_checkpoint_loads_and_resaves_byte_identical(tmp_path, kind):
+    cfg = ModelConfig(embedding_dim=6 if kind == "bi_embedding" else 3, k=4,
+                      biway=kind == "biway", bi_embedding=kind == "bi_embedding", seed=5)
+    model = init_model(cfg, make_rng(5))
+    model.theta[:] = make_rng(6).standard_normal(model.theta.size)  # biases too
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(per_array_checkpoint(model))
+    back = load_checkpoint(old)
+    assert back.config == cfg and back.theta.tobytes() == model.theta.tobytes()
+    save_checkpoint(tmp_path / "new.ckpt", back)
+    assert (tmp_path / "new.ckpt").read_bytes() == old.read_bytes()
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("biway", [False, True])
     def test_round_trip_bit_exact(self, tmp_path, biway):
@@ -463,8 +516,8 @@ class TestCheckpoint:
         before = path.read_bytes()
         model = small_model(d=4, k=3, seed=1)
         params = model.parameters()
-        params["softmax.b_s"] = Unwritable()  # the last array, after the others are written
         monkeypatch.setattr(model, "parameters", lambda: params)
+        monkeypatch.setattr(model, "theta", Unwritable())  # written after the header
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model)
         assert path.read_bytes() == before
@@ -531,9 +584,7 @@ def test_any_bytes_end_in_model_or_checkpoint_error(tmp_path_factory, checkpoint
 
 
 class Unwritable:
-    """A parameter whose bytes cannot be produced."""
-
-    shape = (3,)
+    """A parameter array whose bytes cannot be produced."""
 
     def __array__(self, dtype=None, copy=None):
         raise OSError("disk full")

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import augment_pair_reference, random_library, random_pairs
+from helpers import augment_pair_reference, flat_params, random_library, random_pairs
 from maxcosine import matching, training
-from maxcosine.model import augment_pair, dropout_mask, init_model
+from maxcosine.model import Model, ModelConfig, augment_pair, dropout_mask, init_model
 from maxcosine.numerics import make_rng
 from maxcosine.training import (
     AdamState,
@@ -56,7 +56,7 @@ class TestCrossEntropy:
 
 
 def scalar_params(value):
-    return {"theta": np.array([value])}
+    return flat_params({"theta": np.array([value])})
 
 
 class TestAdam:
@@ -64,17 +64,17 @@ class TestAdam:
         return TrainConfig()
 
     def test_zero_gradient_no_change(self):
-        params = {"w": np.array([0.3, -0.2]), "b": np.array([1.0])}
+        params = flat_params({"w": np.array([0.3, -0.2]), "b": np.array([1.0])})
         state = AdamState.for_params(params)
         before = {k: v.copy() for k, v in params.items()}
-        adam_step(params, {"w": np.zeros(2), "b": np.zeros(1)}, state, self.cfg())
+        adam_step(params, flat_params({"w": np.zeros(2), "b": np.zeros(1)}), state, self.cfg())
         for k in params:
             assert np.array_equal(params[k], before[k])
 
     def test_hand_computed_first_step(self):
         params = scalar_params(0.5)
         state = AdamState.for_params(params)
-        adam_step(params, {"theta": np.array([1.0])}, state, self.cfg())
+        adam_step(params, scalar_params(1.0), state, self.cfg())
         expected = 0.5 - 0.001 * (1.0 / (1.0 + 1e-8))
         assert params["theta"][0] == pytest.approx(expected, abs=1e-12)
         assert params["theta"][0] == pytest.approx(0.499, abs=1e-9)
@@ -82,38 +82,38 @@ class TestAdam:
     def test_first_step_bounded_by_learning_rate(self):
         rng = make_rng(0)
         for scale in (1e-6, 1.0, 1e6):
-            params = {"w": rng.standard_normal(20)}
+            params = flat_params({"w": rng.standard_normal(20)})
             before = params["w"].copy()
             state = AdamState.for_params(params)
-            adam_step(params, {"w": rng.standard_normal(20) * scale}, state, self.cfg())
+            adam_step(params, flat_params({"w": rng.standard_normal(20) * scale}), state,
+                      self.cfg())
             assert np.all(np.abs(params["w"] - before) <= 0.001 * (1 + 1e-6))
 
     def test_step_counter_increments(self):
         params = scalar_params(0.0)
         state = AdamState.for_params(params)
         for expected_t in (1, 2, 3):
-            adam_step(params, {"theta": np.array([0.5])}, state, self.cfg())
+            adam_step(params, scalar_params(0.5), state, self.cfg())
             assert state.t == expected_t
 
     def test_nonfinite_gradient_aborts(self):
         params = scalar_params(0.0)
         state = AdamState.for_params(params)
         with pytest.raises(DivergenceError):
-            adam_step(params, {"theta": np.array([np.nan])}, state, self.cfg())
+            adam_step(params, scalar_params(np.nan), state, self.cfg())
 
     def test_bitwise_equal_to_textbook_formula(self):
         rng = make_rng(3)
         cfg = TrainConfig(learning_rate=0.01)
-        # two parameters of one shape share the work arrays
-        params = {name: rng.standard_normal(shape) for name, shape in
-                  (("W_a", (4, 5)), ("W_b", (4, 5)), ("b", (5,)))}
+        params = flat_params({name: rng.standard_normal(shape) for name, shape in
+                              (("W_a", (4, 5)), ("W_b", (4, 5)), ("b", (5,)))})
         state = AdamState.for_params(params)
         theta = {name: a.copy() for name, a in params.items()}
         m = {name: np.zeros_like(a) for name, a in params.items()}
         v = {name: np.zeros_like(a) for name, a in params.items()}
         for t in (1, 2, 3):
             grads = {name: rng.standard_normal(a.shape) for name, a in params.items()}
-            adam_step(params, grads, state, cfg)
+            adam_step(params, flat_params(grads), state, cfg)
             for name, g in grads.items():
                 m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
                 v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
@@ -123,6 +123,38 @@ class TestAdam:
                 assert np.array_equal(state.m[name], m[name])
                 assert np.array_equal(state.v[name], v[name])
                 assert np.array_equal(params[name], theta[name])
+
+
+    @pytest.mark.parametrize("name,at", [("lstm_h.W_i", 0), ("lstm_p.b_o", 0),
+                                         ("softmax.W_s", -1), ("softmax.b_s", -1)])
+    def test_nonfinite_gradient_names_first_parameter_and_updates_nothing(self, name, at):
+        model = init_model(ModelConfig(embedding_dim=2, k=3, biway=True), make_rng(0))
+        params, grads = model.parameters(), Model(model.config).parameters()
+        grads[name].ravel()[at] = np.nan
+        grads["softmax.b_s"][-1] = np.inf  # last in checkpoint order
+        state = AdamState.for_params(params)
+        before = model.theta.copy()
+        with pytest.raises(DivergenceError, match=rf"non-finite gradient in {re.escape(name)}$"):
+            adam_step(params, grads, state, self.cfg())
+        assert model.theta.tobytes() == before.tobytes() and state.t == 0
+        assert not state.m.flat.any() and not state.v.flat.any()
+
+    def test_chunks_update_as_one_pass(self, monkeypatch):
+        rng = make_rng(4)
+        shapes = {"W": (9, 7), "b": (9,), "c": (2,)}  # 74 values: chunks of 7 end short
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        grads = [flat_params({name: rng.standard_normal(shape) for name, shape in shapes.items()})
+                 for _ in range(3)]
+        runs = []
+        for chunk in (training.ADAM_CHUNK, 7):
+            monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
+            params = flat_params(start)
+            state = AdamState.for_params(params)
+            assert state.work.shape == (2, min(chunk, 74))
+            for g in grads:
+                adam_step(params, g, state, TrainConfig(learning_rate=0.01))
+            runs.append(b"".join(a.flat.tobytes() for a in (params, state.m, state.v)))
+        assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("field,value", [
