@@ -27,9 +27,9 @@ from .embeddings import (
 )
 from .gradcheck import model_gradient_check
 from .matching import match_indices
-from .model import check_library_dim, forward, init_model
+from .model import init_model
 from .numerics import make_rng
-from .training import TrainConfig, train
+from .training import TrainConfig, evaluate, train
 
 log = logging.getLogger(__name__)
 
@@ -190,31 +190,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _is_manifest(path) -> bool:
+def _load_group(path) -> ens.Ensemble:
+    """An ensemble manifest, or a checkpoint as a one-member ensemble."""
     try:
         with open(path, "rb") as fh:
-            return fh.read(1) == b"{"
+            is_manifest = fh.read(1) == b"{"
     except OSError:
-        return False
+        is_manifest = False
+    if is_manifest:
+        return ens.load_ensemble(path)
+    return ens.Ensemble([ckpt.load_checkpoint(path)])
 
 
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
     lib = load_libraries(cfg)
     pairs = _load_pairs(args.dataset)
-    if _is_manifest(args.checkpoint):
-        group = ens.load_ensemble(args.checkpoint)
-    else:
-        group = ens.Ensemble([ckpt.load_checkpoint(args.checkpoint)])
-    check_library_dim(group.members[0].config, lib)
-    confusion = np.zeros((3, 3), dtype=np.int64)
-    for pair in pairs:
-        _, label = ens.predict_ensemble(group, pair, lib)
-        confusion[pair.label - 1, label - 1] += 1
-    accuracy = float(np.trace(confusion)) / len(pairs)
-    print(f"accuracy: {accuracy:.4f} ({int(np.trace(confusion))}/{len(pairs)})")
+    result = evaluate(pairs, _load_group(args.checkpoint), lib)
+    correct = int(np.trace(result.confusion))
+    print(f"accuracy: {result.accuracy:.4f} ({correct}/{result.total})")
     print("confusion (rows gold, cols predicted; E C N):")
-    for row_label, row in zip("ECN", confusion):
+    for row_label, row in zip("ECN", result.confusion):
         print(f"  {row_label}  " + " ".join(f"{v:7d}" for v in row))
     return 0
 
@@ -222,15 +218,13 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     cfg = resolve_config(args)
     lib = load_libraries(cfg)
-    model = ckpt.load_checkpoint(args.checkpoint)
-    check_library_dim(model.config, lib)
+    group = _load_group(args.checkpoint)
     prem = tokenize(args.premise)
     hyp = tokenize(args.hypothesis)
     if not prem or not hyp:
         raise CliError("premise and hypothesis must tokenize to at least one token")
     pair = SentencePair(tuple(prem), tuple(hyp), label=1, id=0)
-    probs, _ = forward(model, pair, lib, train=False)
-    label = int(np.argmax(probs)) + 1
+    probs, label = ens.predict_ensemble(group, pair, lib)
     for i, name in LABEL_NAMES.items():
         print(f"{name}: {probs[i - 1]:.6f}")
     print(f"label: {LABEL_NAMES[label]}")
@@ -269,7 +263,7 @@ def cmd_ensemble_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     group, results = ens.train_ensemble(
         config, seeds, train_pairs, val_pairs, lib,
-        workers=cfg.get("workers", 1), metrics_dir=out_dir if out_dir else None,
+        workers=cfg.get("workers", 1), metrics_dir=out_dir,
     )
     manifest = ens.save_ensemble(group, out_dir, seeds)
     for seed, result in zip(seeds, results):

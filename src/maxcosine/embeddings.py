@@ -52,9 +52,6 @@ class EmbeddingLibrary:
     def vector(self, word: str) -> np.ndarray:
         return self.matrix[self.vocab[word]]
 
-    def scaled(self, c: float) -> "EmbeddingLibrary":
-        return EmbeddingLibrary(self.vocab, self.matrix * c, self.duplicates_dropped)
-
 
 def _is_number(token: str) -> bool:
     try:

@@ -15,7 +15,7 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, augment_pair, forward_members
+from .model import Model, augment_pair, check_library_dim, forward_members
 from .training import TrainConfig, TrainResult, train
 
 
@@ -77,23 +77,14 @@ def predict_ensemble(
 ) -> tuple[np.ndarray, int]:
     """Arithmetic mean of member probabilities; label with smallest-index tie-break.
 
-    Members differ only in seed, so the pair is matched once for all of them,
-    and all members' encoders run as one set of independent passes.
+    This is `training.evaluate`'s forward on a batch of one: the pair is matched
+    once for all members, which differ only in seed, and all members' encoders
+    run as one set of independent passes.
     """
-    seqs = [augment_pair(pair, lib, ensemble.members[0].config)]
-    mean = member_mean([probs[0] for probs in forward_members(ensemble.members, seqs)])
+    config = ensemble.members[0].config
+    check_library_dim(config, lib)
+    mean = forward_members(ensemble.members, [augment_pair(pair, lib, config)])[0]
     return mean, int(np.argmax(mean)) + 1
-
-
-def member_mean(member_probs: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean over members of equal-shape float64 vectors. Each coordinate is
-    summed in sorted order in extended precision, starting from +0.0, so the
-    mean is independent of member order and reduces exactly to the member
-    output when all members agree bitwise."""
-    ranked = np.sort(np.stack(member_probs), axis=0)
-    start = np.zeros((1,) + ranked.shape[1:])
-    total = np.cumsum(np.concatenate([start, ranked]), axis=0, dtype=np.longdouble)[-1]
-    return (total / len(ranked)).astype(np.float64)
 
 
 def save_manifest(path, member_paths: Sequence[str], seeds: Sequence[int]) -> None:

@@ -3,7 +3,6 @@ passes for the base and biway architectures."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import os
@@ -164,9 +163,6 @@ class Model:
         """Live views of every trainable array, each LSTM as its per-gate
         `W_i … b_c` row blocks, in checkpoint order over `theta`."""
         return Params(self.theta, _layout(self.config, per_gate=True))
-
-    def copy(self) -> "Model":
-        return Model(dataclasses.replace(self.config), self.theta.copy())
 
     def __reduce__(self):
         # a pickled view would come back as a separate copy of its values
@@ -347,19 +343,31 @@ def forward_batch(
     return probs, trace
 
 
+def member_mean(member_probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean over members of equal-shape float64 arrays. Each coordinate is
+    summed in sorted order in extended precision, starting from +0.0, so the
+    mean is independent of member order and reduces exactly to the member
+    output when all members agree bitwise, or when there is one member."""
+    ranked = np.sort(np.stack(member_probs), axis=0)
+    start = np.zeros((1,) + ranked.shape[1:])
+    total = np.cumsum(np.concatenate([start, ranked]), axis=0, dtype=np.longdouble)[-1]
+    return (total / len(ranked)).astype(np.float64)
+
+
 def forward_members(
     models: Sequence[Model], seqs: Sequence[tuple[np.ndarray, Optional[np.ndarray]]]
-) -> list[np.ndarray]:
-    """Eval-mode (B, 3) probabilities of each model on the same batch, as
-    `forward_batch` gives them. All the models' encoders run as one set of
-    independent passes, and each pass keeps only its final hidden states."""
+) -> np.ndarray:
+    """Eval-mode (B, 3) `member_mean` of the models' probabilities on the same
+    batch, each member's as `forward_batch` gives them. All the models'
+    encoders run as one set of independent passes, and each pass keeps only its
+    final hidden states. One model's mean is bitwise its own output."""
     passes = [_encoder_passes(m, seqs, False, None) for m in models]
     jobs = [(_final_states, args, cost) for each in passes for _, args, cost in each]
     finals = iter(_run_passes(jobs))
-    return [
+    return member_mean([
         decide(m.softmax, _softmax_input(m, [next(finals) for _ in each]))[0]
         for m, each in zip(models, passes)
-    ]
+    ])
 
 
 def forward(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,14 +19,18 @@ from .model import (
     backward,
     check_library_dim,
     forward_batch,
+    forward_members,
     init_model,
 )
 from .numerics import make_rng
 
+if TYPE_CHECKING:
+    from .ensemble import Ensemble
+
 log = logging.getLogger(__name__)
 
 LOG_FLOOR = 1e-300  # keeps the loss finite under pathological confidence
-EVAL_CHUNK = 64  # validation pairs per batch forward; bounds the trace's memory
+EVAL_CHUNK = 64  # evaluation pairs per batch forward; bounds the passes' memory
 
 
 class DivergenceError(RuntimeError):
@@ -168,19 +172,23 @@ class TrainResult:
 
 def evaluate(
     pairs: Sequence[SentencePair],
-    model: Model,
+    model: Union[Model, "Ensemble"],
     lib: EmbeddingLibrary,
     index: Optional[PairIndex] = None,
 ) -> EvalResult:
-    """Accuracy and confusion of `model` on `pairs`, read through `index`, their
-    `index_pairs` matching, which is built here when not given."""
-    check_library_dim(model.config, lib)
+    """Accuracy and confusion on `pairs` of `model`, a model or an ensemble,
+    read through `index`, their `index_pairs` matching, which is built here
+    when not given. Each chunk of `EVAL_CHUNK` pairs is one `forward_members`
+    call, so a model scores as a one-member ensemble and an ensemble by the
+    mean of its members' probabilities."""
+    members = [model] if isinstance(model, Model) else model.members
+    check_library_dim(members[0].config, lib)
     if index is None:
-        index = index_pairs(pairs, lib, model.config)
+        index = index_pairs(pairs, lib, members[0].config)
     confusion = np.zeros((3, 3), dtype=np.int64)
     for start in range(0, len(pairs), EVAL_CHUNK):
         chunk = range(start, min(start + EVAL_CHUNK, len(pairs)))
-        probs = forward_batch(model, index.sequences(chunk))[0]
+        probs = forward_members(members, index.sequences(chunk))
         gold = [pairs[i].label - 1 for i in chunk]
         np.add.at(confusion, (gold, np.argmax(probs, axis=1)), 1)
     total = len(pairs)

@@ -1,6 +1,7 @@
 """Shared builders for synthetic libraries and sentence pairs, and reference
 implementations that tests compare the program against."""
 
+import dataclasses
 import os
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from maxcosine.data import SentencePair
 from maxcosine.embeddings import EmbeddingFormatError, EmbeddingLibrary
-from maxcosine.model import Params
+from maxcosine.model import Model, Params
 
 
 def random_library(rng, n_words=24, dim=8):
@@ -26,6 +27,16 @@ def random_pairs(rng, lib, n, min_len=3, max_len=6):
         hyp = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(min_len, max_len + 1))))
         out.append(SentencePair(prem, hyp, label=int(rng.integers(1, 4)), id=i))
     return out
+
+
+def scaled(lib, c: float) -> EmbeddingLibrary:
+    """`lib` with every vector multiplied by `c`."""
+    return EmbeddingLibrary(lib.vocab, lib.matrix * c, lib.duplicates_dropped)
+
+
+def copy_model(model) -> Model:
+    """A model of an equal config that owns a copy of `model.theta`."""
+    return Model(dataclasses.replace(model.config), model.theta.copy())
 
 
 def flat_params(arrays) -> Params:

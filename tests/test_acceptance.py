@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import flat_params, match_word, random_library, random_pairs
+from helpers import flat_params, match_word, random_library, random_pairs, scaled
 from maxcosine.cli import load_library
 from maxcosine.data import load_snli
 from maxcosine.embeddings import embed_sentence
@@ -168,7 +168,7 @@ def test_criterion_6_determinism_and_ensemble_identities():
 def test_criterion_7_scale_invariance():
     rng = make_rng(700)
     lib = random_library(rng, n_words=30, dim=10)
-    doubled = lib.scaled(2.0)
+    doubled = scaled(lib, 2.0)
     words = lib.words()
     ok = True
     for _ in range(100):

@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from maxcosine.checkpoint import load_checkpoint
 from maxcosine.cli import build_parser, load_library, main, read_config_file, CliError
+from maxcosine.data import LABEL_NAMES, SentencePair, load_snli
 from maxcosine.embeddings import load_binary_format, load_text_format
+from maxcosine.ensemble import Ensemble, load_ensemble, predict_ensemble
 from maxcosine.numerics import make_rng
 
 
@@ -210,6 +213,62 @@ def test_ensemble_train_and_eval(workspace, capsys):
     rc = main(["eval", str(manifest), str(data), "--embeddings", str(emb)])
     assert rc == 0
     assert "accuracy:" in capsys.readouterr().out
+
+
+@pytest.fixture
+def trained_group(workspace, capsys):
+    """A two-member ensemble trained on the workspace: its manifest and the
+    first member's checkpoint."""
+    tmp_path, emb, data = workspace
+    out_dir = tmp_path / "group"
+    assert main(["ensemble-train", "--embeddings", str(emb), "--train-path", str(data),
+                 "--val-path", str(data), "--out-dir", str(out_dir), "--k", "6",
+                 "--epochs", "2", "--batch-size", "4", "--seeds", "1,2"]) == 0
+    capsys.readouterr()
+    return {"manifest": out_dir / "ensemble.json", "checkpoint": out_dir / "member_seed1.ckpt"}
+
+
+def _group(path) -> Ensemble:
+    return load_ensemble(path) if path.suffix == ".json" else Ensemble([load_checkpoint(path)])
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "manifest"])
+def test_eval_prints_per_pair_scores(workspace, trained_group, capsys, kind):
+    tmp_path, emb, data = workspace
+    assert main(["eval", str(trained_group[kind]), str(data), "--embeddings", str(emb)]) == 0
+    # the loop eval ran before it shared training's batched evaluation
+    lib, group = load_text_format(emb), _group(trained_group[kind])
+    pairs = load_snli(data)[0]
+    confusion = np.zeros((3, 3), dtype=np.int64)
+    for pair in pairs:
+        confusion[pair.label - 1, predict_ensemble(group, pair, lib)[1] - 1] += 1
+    correct = int(np.trace(confusion))
+    expected = [f"accuracy: {correct / len(pairs):.4f} ({correct}/{len(pairs)})",
+                "confusion (rows gold, cols predicted; E C N):"]
+    expected += [f"  {name}  " + " ".join(f"{v:7d}" for v in row)
+                 for name, row in zip("ECN", confusion)]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "manifest"])
+def test_predict_prints_member_mean(workspace, trained_group, capsys, kind):
+    tmp_path, emb, data = workspace
+    assert main(["predict", str(trained_group[kind]), "w0 w1 w2 w3", "w4 w5",
+                 "--embeddings", str(emb)]) == 0
+    lib, group = load_text_format(emb), _group(trained_group[kind])
+    pair = SentencePair(("w0", "w1", "w2", "w3"), ("w4", "w5"), label=1, id=0)
+    probs, label = predict_ensemble(group, pair, lib)
+    expected = [f"{name}: {probs[i - 1]:.6f}" for i, name in LABEL_NAMES.items()]
+    assert capsys.readouterr().out.splitlines() == expected + [f"label: {LABEL_NAMES[label]}"]
+
+
+def test_predict_dimension_mismatch_fails(workspace, trained_group, capsys):
+    tmp_path, _, _ = workspace
+    wrong_emb = tmp_path / "wrong.txt"
+    wrong_emb.write_text("w0 0.1 0.2\nw1 0.3 0.4\n")
+    assert main(["predict", str(trained_group["manifest"]), "w0", "w1",
+                 "--embeddings", str(wrong_emb)]) == 1
+    assert "dimension" in capsys.readouterr().err
 
 
 def test_predict_empty_hypothesis_fails(workspace, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import cosine, load_binary_oracle
+from helpers import cosine, load_binary_oracle, scaled
 from maxcosine import embeddings
 from maxcosine.embeddings import (
     EmbeddingFormatError,
@@ -310,7 +310,7 @@ class TestBinaryAgainstOracle:
 
 def test_scaled_keeps_duplicates_dropped():
     lib = EmbeddingLibrary({"a": 0}, np.ones((1, 2)), duplicates_dropped=3)
-    doubled = lib.scaled(2.0)
+    doubled = scaled(lib, 2.0)
     assert doubled.duplicates_dropped == 3
     assert np.array_equal(doubled.matrix, [[2.0, 2.0]])
 

@@ -9,21 +9,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import assert_views_tile_theta, random_library, random_pairs
-from maxcosine import model as model_module
+from maxcosine import model as model_module, training
 from maxcosine.checkpoint import CheckpointError, save_checkpoint
 from maxcosine.ensemble import (
     Ensemble,
     ManifestError,
     load_ensemble,
-    member_mean,
     predict_ensemble,
     save_ensemble,
     save_manifest,
     train_ensemble,
 )
-from maxcosine.model import decide, forward, init_model
+from maxcosine.matching import index_pairs
+from maxcosine.model import decide, forward, forward_batch, init_model, member_mean
 from maxcosine.numerics import make_rng
-from maxcosine.training import TrainConfig
+from maxcosine.training import EVAL_CHUNK, TrainConfig, evaluate
 
 
 def setup(n_pairs=10, seed=3):
@@ -192,6 +192,63 @@ def test_forked_child_starts_its_own_worker(pass_pool):
         runner.join(timeout=30)
         pytest.fail("a forked child hung")
     assert out["forked"] == in_parent
+
+
+def recorded_evaluate(monkeypatch, pairs, scored, lib):
+    """`evaluate(pairs, scored, lib)` and the (n, 3) probabilities it scored,
+    read from its `forward_members` calls."""
+    seen = []
+    real = training.forward_members
+    monkeypatch.setattr(training, "forward_members", lambda *a: seen.append(real(*a)) or seen[-1])
+    result = evaluate(pairs, scored, lib)
+    monkeypatch.setattr(training, "forward_members", real)
+    return result, np.concatenate(seen)
+
+
+def confusion_of(pairs, labels):
+    confusion = np.zeros((3, 3), dtype=np.int64)
+    for pair, label in zip(pairs, labels):
+        confusion[pair.label - 1, label - 1] += 1
+    return confusion
+
+
+class TestOneEvaluationPath:
+    GROUPS = {"base": (False, (1,)), "biway": (True, (1,)), "biway_x3": (True, (1, 2, 3))}
+
+    @pytest.mark.parametrize("n", [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1])
+    @pytest.mark.parametrize("kind", list(GROUPS))
+    def test_evaluate_equals_per_pair_predictions(self, monkeypatch, kind, n):
+        biway, seeds = self.GROUPS[kind]
+        lib, pairs = setup(n_pairs=n, seed=n)
+        group = Ensemble([init_model(quick_config(biway=biway, seed=s).model_config(lib.dim),
+                                     make_rng(s)) for s in seeds])
+        result, batched = recorded_evaluate(monkeypatch, pairs, group, lib)
+        per_pair = [predict_ensemble(group, pair, lib) for pair in pairs]
+        probs = np.stack([p for p, _ in per_pair])
+        assert np.abs(batched - probs).max() <= 1e-12
+        # a batched label may differ from the per-pair one only on a near-tie
+        labels = [int(np.argmax(row)) + 1 for row in batched]
+        for row, label, (_, alone) in zip(probs, labels, per_pair):
+            if label != alone:
+                assert abs(row[label - 1] - row[alone - 1]) <= 2e-12
+        assert np.array_equal(result.confusion, confusion_of(pairs, labels))
+        assert result.total == n and result.accuracy == np.trace(result.confusion) / n
+
+    @pytest.mark.parametrize("biway", [False, True])
+    def test_model_scores_as_its_one_member_ensemble(self, monkeypatch, biway):
+        lib, pairs = setup(n_pairs=EVAL_CHUNK + 9, seed=4)
+        model = init_model(quick_config(biway=biway, seed=5).model_config(lib.dim), make_rng(5))
+        alone, alone_probs = recorded_evaluate(monkeypatch, pairs, model, lib)
+        grouped, grouped_probs = recorded_evaluate(monkeypatch, pairs, Ensemble([model]), lib)
+        assert alone_probs.tobytes() == grouped_probs.tobytes()
+        assert np.array_equal(alone.confusion, grouped.confusion)
+        assert alone.accuracy == grouped.accuracy
+        # evaluate's forward before ensembles shared it: forward_batch per chunk
+        index = index_pairs(pairs, lib, model.config)
+        chunks = [range(s, min(s + EVAL_CHUNK, len(pairs))) for s in range(0, len(pairs),
+                                                                            EVAL_CHUNK)]
+        before = np.concatenate([forward_batch(model, index.sequences(c))[0] for c in chunks])
+        assert alone_probs.tobytes() == before.tobytes()
 
 
 class TestManifest:

@@ -8,6 +8,7 @@ from helpers import (
     match_indices_reference,
     match_word,
     random_library,
+    scaled,
 )
 from maxcosine.data import SentencePair
 from maxcosine.embeddings import EmbeddingLibrary, embed_sentence
@@ -136,12 +137,12 @@ class TestAugmentedSequence:
     def test_argmax_invariant_under_global_scaling(self):
         rng = make_rng(5)
         lib = random_library(rng, n_words=14, dim=6)
-        scaled = lib.scaled(2.0)
+        doubled = scaled(lib, 2.0)
         words = lib.words()
         for _ in range(30):
             cond = [str(w) for w in rng.choice(words, size=4)]
             against = [str(w) for w in rng.choice(words, size=5)]
-            assert matched(cond, against, lib) == matched(cond, against, scaled)
+            assert matched(cond, against, lib) == matched(cond, against, doubled)
 
     def test_directions_are_independent(self):
         rng = make_rng(6)

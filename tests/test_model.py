@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import assert_views_tile_theta, random_library, random_pairs
+from helpers import assert_views_tile_theta, copy_model, random_library, random_pairs
 from maxcosine import model as model_module
 from maxcosine.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from maxcosine.data import SentencePair
@@ -426,7 +426,7 @@ class TestParameterBuffer:
 
     def test_copy_owns_its_theta(self, biway):
         model = small_model(d=3, k=4, biway=biway)
-        twin = model.copy()
+        twin = copy_model(model)
         assert twin.theta.tobytes() == model.theta.tobytes()
         assert not np.shares_memory(twin.theta, model.theta)
         assert_views_tile_theta(twin)
