@@ -8,7 +8,9 @@ import logging
 import os
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -16,7 +18,6 @@ from . import checkpoint as ckpt
 from . import ensemble as ens
 from .data import LABEL_NAMES, SentencePair, load_snli, tokenize
 from .embeddings import (
-    DEFAULT_OOV_WINDOW,
     EmbeddingLibrary,
     concat_libraries,
     embed_sentence,
@@ -27,7 +28,7 @@ from .embeddings import (
 )
 from .gradcheck import model_gradient_check
 from .matching import match_indices
-from .model import init_model
+from .model import ModelConfig, init_model
 from .numerics import make_rng
 from .training import TrainConfig, evaluate, train
 
@@ -35,20 +36,10 @@ log = logging.getLogger(__name__)
 
 GRADCHECK_TOLERANCE = 1e-5
 
-# every accepted config-file key and its type
+# every accepted config-file key and its type: TrainConfig's fields but the
+# early-exit target, which has no flag, then the run's files and options
 CONFIG_SCHEMA: dict[str, type] = {
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "batch_size": int,
-    "epochs": int,
-    "dropout_rate": float,
-    "seed": int,
-    "k": int,
-    "biway": bool,
-    "bi_embedding": bool,
-    "oov_window": int,
+    **{k: ty for k, ty in get_type_hints(TrainConfig).items() if k != "target_val_accuracy"},
     "train_path": str,
     "val_path": str,
     "embeddings": str,
@@ -59,11 +50,6 @@ CONFIG_SCHEMA: dict[str, type] = {
     "seeds": str,
     "max_train_pairs": int,
     "max_val_pairs": int,
-}
-
-TRAIN_CONFIG_KEYS = {
-    "learning_rate", "beta1", "beta2", "epsilon", "batch_size", "epochs",
-    "dropout_rate", "seed", "k", "biway", "bi_embedding", "oov_window",
 }
 
 
@@ -120,7 +106,7 @@ def resolve_config(args) -> dict:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(**{k: v for k, v in cfg.items() if k in TRAIN_CONFIG_KEYS})
+    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
 
 
 def _detect_format(path) -> str:
@@ -148,10 +134,10 @@ def load_library(path, fmt: str = "auto") -> EmbeddingLibrary:
 def load_libraries(cfg: dict) -> EmbeddingLibrary:
     if "embeddings" not in cfg:
         raise CliError("no embeddings path given (embeddings=... or --embeddings)")
-    fmt = cfg.get("embedding_format", "auto")
-    lib = load_library(cfg["embeddings"], fmt)
     if cfg.get("bi_embedding") and "embeddings2" not in cfg:
         raise CliError("bi_embedding=true requires a second library (embeddings2)")
+    fmt = cfg.get("embedding_format", "auto")
+    lib = load_library(cfg["embeddings"], fmt)
     if "embeddings2" in cfg:
         lib = concat_libraries(lib, load_library(cfg["embeddings2"], fmt))
     return lib
@@ -169,21 +155,25 @@ def _load_pairs(path, max_pairs=None) -> list[SentencePair]:
     return pairs
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    for required in ("train_path", "val_path", "out_dir"):
-        if required not in cfg:
-            raise CliError(f"missing required setting {required}")
-    config = build_train_config(cfg)  # rejects bad values before the slow loads
-    lib = load_libraries(cfg)
+def _train_setup(cfg: dict, *required: str):
+    """The training settings, data, library and output directory of a training
+    command; `TrainConfig`'s checks run before any file is read or made."""
+    for key in ("train_path", "val_path", "out_dir", *required):
+        if key not in cfg:
+            raise CliError(f"missing required setting {key}")
+    config = build_train_config(cfg)
     train_pairs = _load_pairs(cfg["train_path"], cfg.get("max_train_pairs"))
     val_pairs = _load_pairs(cfg["val_path"], cfg.get("max_val_pairs"))
+    lib = load_libraries(cfg)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train(
-        train_pairs, val_pairs, config, lib,
-        metrics_path=out_dir / "metrics.tsv", verbose=True,
-    )
+    return config, train_pairs, val_pairs, lib, out_dir
+
+
+def cmd_train(args) -> int:
+    config, train_pairs, val_pairs, lib, out_dir = _train_setup(resolve_config(args))
+    result = train(train_pairs, val_pairs, config, lib,
+                   metrics_path=out_dir / "metrics.tsv", verbose=True)
     ckpt.save_checkpoint(out_dir / "model.ckpt", result.best_model)
     print(f"best epoch {result.best_epoch}: val_accuracy={result.best_val_accuracy:.4f}")
     print(f"checkpoint: {out_dir / 'model.ckpt'}")
@@ -203,8 +193,7 @@ def _load_group(path) -> ens.Ensemble:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    lib = load_libraries(cfg)
+    lib = load_libraries(resolve_config(args))
     pairs = _load_pairs(args.dataset)
     result = evaluate(pairs, _load_group(args.checkpoint), lib)
     correct = int(np.trace(result.confusion))
@@ -215,15 +204,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    cfg = resolve_config(args)
-    lib = load_libraries(cfg)
-    group = _load_group(args.checkpoint)
-    prem = tokenize(args.premise)
-    hyp = tokenize(args.hypothesis)
+def _sentence_pair(args) -> SentencePair:
+    """The premise and hypothesis as an unlabelled pair, each of one token or more."""
+    prem, hyp = tokenize(args.premise), tokenize(args.hypothesis)
     if not prem or not hyp:
         raise CliError("premise and hypothesis must tokenize to at least one token")
-    pair = SentencePair(tuple(prem), tuple(hyp), label=1, id=0)
+    return SentencePair(tuple(prem), tuple(hyp), label=1, id=0)
+
+
+def cmd_predict(args) -> int:
+    pair = _sentence_pair(args)
+    lib = load_libraries(resolve_config(args))
+    group = _load_group(args.checkpoint)
     probs, label = ens.predict_ensemble(group, pair, lib)
     for i, name in LABEL_NAMES.items():
         print(f"{name}: {probs[i - 1]:.6f}")
@@ -232,13 +224,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_match(args) -> int:
+    pair = _sentence_pair(args)
+    prem, hyp = pair.premise_tokens, pair.hypothesis_tokens
     cfg = resolve_config(args)
+    window = build_train_config(cfg).oov_window
     lib = load_libraries(cfg)
-    prem = tokenize(args.premise)
-    hyp = tokenize(args.hypothesis)
-    if not prem or not hyp:
-        raise CliError("premise and hypothesis must tokenize to at least one token")
-    window = cfg.get("oov_window", DEFAULT_OOV_WINDOW)
     prem_rows = embed_sentence(lib, prem, window)
     hyp_rows = embed_sentence(lib, hyp, window)
     for t, idx in enumerate(match_indices(hyp_rows, prem_rows)):
@@ -251,16 +241,8 @@ def cmd_match(args) -> int:
 
 def cmd_ensemble_train(args) -> int:
     cfg = resolve_config(args)
-    for required in ("train_path", "val_path", "out_dir", "seeds"):
-        if required not in cfg:
-            raise CliError(f"missing required setting {required}")
-    seeds = [int(s) for s in str(cfg["seeds"]).split(",") if s.strip()]
-    config = build_train_config(cfg)
-    lib = load_libraries(cfg)
-    train_pairs = _load_pairs(cfg["train_path"], cfg.get("max_train_pairs"))
-    val_pairs = _load_pairs(cfg["val_path"], cfg.get("max_val_pairs"))
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    seeds = [int(s) for s in str(cfg.get("seeds", "")).split(",") if s.strip()]
+    config, train_pairs, val_pairs, lib, out_dir = _train_setup(cfg, "seeds")
     group, results = ens.train_ensemble(
         config, seeds, train_pairs, val_pairs, lib,
         workers=cfg.get("workers", 1), metrics_dir=out_dir,
@@ -289,8 +271,7 @@ def cmd_gradcheck(args) -> int:
         pairs.append(SentencePair(prem, hyp, label=int(rng.integers(1, 4)), id=i))
     worst = 0.0
     for biway in (False, True):
-        tc = TrainConfig(seed=seed, k=k, biway=biway, dropout_rate=0.0)
-        model = init_model(tc.model_config(d), make_rng(seed))
+        model = init_model(ModelConfig(d, k=k, biway=biway, seed=seed), make_rng(seed))
         err = model_gradient_check(model, pairs, lib)
         worst = max(worst, err)
         print(f"{'biway' if biway else 'base '} max relative error: {err:.3e}")

@@ -92,8 +92,10 @@ def load_snli(path, max_pairs: Optional[int] = None) -> tuple[list[SentencePair]
     A line that is not valid UTF-8, not JSON, or not an object with string
     `sentence1`, `sentence2` and (optional) `gold_label` fields is malformed:
     it is counted, and its number logged. More than 1% malformed lines raise
-    DataFormatError.
+    DataFormatError. `max_pairs`, when given, must be at least 1.
     """
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError(f"{path}: max_pairs must be >= 1, got {max_pairs}")
     pairs: list[SentencePair] = []
     report = LoadReport()
     # undecodable bytes become lone surrogates, found per line by _fields; only

@@ -265,18 +265,14 @@ def save_binary_format(lib: EmbeddingLibrary, path) -> None:
 
 
 def concat_libraries(a: EmbeddingLibrary, b: EmbeddingLibrary) -> EmbeddingLibrary:
-    """Union vocabulary; vector(w) = [a(w) || b(w)], zero half when w is missing
-    from one of the libraries."""
-    words = a.words() + [w for w in b.words() if w not in a.vocab]
-    dim = a.dim + b.dim
-    matrix = np.zeros((len(words), dim), dtype=np.float64)
-    vocab: dict[str, int] = {}
-    for i, w in enumerate(words):
-        vocab[w] = i
-        if w in a.vocab:
-            matrix[i, : a.dim] = a.vector(w)
-        if w in b.vocab:
-            matrix[i, a.dim :] = b.vector(w)
+    """Union vocabulary, `a`'s words then `b`'s others, each in index order;
+    vector(w) = [a(w) || b(w)], zero half when w is missing from one of the libraries."""
+    b_words = b.words()
+    words = a.words() + [w for w in b_words if w not in a.vocab]
+    vocab = dict(zip(words, range(len(words))))
+    matrix = np.zeros((len(words), a.dim + b.dim), dtype=np.float64)
+    matrix[: len(a), : a.dim] = a.matrix
+    matrix[[vocab[w] for w in b_words], a.dim :] = b.matrix
     return EmbeddingLibrary(vocab, matrix)
 
 

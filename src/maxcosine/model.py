@@ -34,8 +34,12 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.k <= 0 or self.embedding_dim <= 0:
-            raise ValueError("k and embedding_dim must be positive")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.embedding_dim < 1:
+            raise ValueError("embedding_dim must be >= 1")
+        if self.oov_window < 0:
+            raise ValueError("oov_window must be >= 0")
 
     @property
     def input_dim(self) -> int:
@@ -470,6 +474,14 @@ def _new_pool() -> None:
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
+
+
+def share_cores(processes: int) -> None:
+    """Run every pass of this process on its calling thread if `processes` processes
+    like it fill the cores it may use, as each would hold its caller to the same core."""
+    global _WORKERS
+    if _WORKERS and processes >= len(os.sched_getaffinity(0)):
+        _WORKERS = 0
 
 
 def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
@@ -63,19 +63,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not (self.learning_rate > 0.0 and self.epsilon > 0.0):
             raise ValueError("learning_rate and epsilon must be > 0")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        self.model_config(embedding_dim=1)  # checks the shared fields by ModelConfig's rules
 
     def model_config(self, embedding_dim: int) -> ModelConfig:
-        return ModelConfig(
-            embedding_dim=embedding_dim,
-            k=self.k,
-            dropout_rate=self.dropout_rate,
-            biway=self.biway,
-            bi_embedding=self.bi_embedding,
-            seed=self.seed,
-            oov_window=self.oov_window,
-        )
+        """The run's model: each `ModelConfig` field but `embedding_dim` is read from here."""
+        shared = [f.name for f in fields(ModelConfig) if f.name != "embedding_dim"]
+        return ModelConfig(embedding_dim, **{name: getattr(self, name) for name in shared})
 
 
 def pair_losses(probabilities: np.ndarray, gold: Sequence[int]) -> np.ndarray:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from maxcosine.checkpoint import load_checkpoint
-from maxcosine.cli import build_parser, load_library, main, read_config_file, CliError
+from maxcosine.cli import (
+    CONFIG_SCHEMA, CliError, build_parser, load_library, main, read_config_file,
+)
 from maxcosine.data import LABEL_NAMES, SentencePair, load_snli
 from maxcosine.embeddings import load_binary_format, load_text_format
 from maxcosine.ensemble import Ensemble, load_ensemble, predict_ensemble
@@ -106,19 +108,49 @@ def test_match_command(workspace, capsys):
         assert capsys.readouterr().out.splitlines() == expected
 
 
+def test_match_rejects_negative_oov_window(workspace, capsys):
+    _, emb, _ = workspace
+    assert main(["match", "w0", "w1", "--embeddings", str(emb), "--oov-window", "-1"]) == 1
+    assert "oov_window must be >= 0" in capsys.readouterr().err
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--dim", "4", "--k", "3", "--pairs", "1", "--seed", "0"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+BAD_TRAIN_SETTINGS = [
+    (["--epochs", "0"], "epochs must be >= 1"),
+    (["--dropout-rate", "1.5"], "dropout_rate must be in [0, 1)"),
+    (["--oov-window", "-1"], "oov_window must be >= 0"),
+    (["--max-train-pairs", "0"], "max_pairs must be >= 1, got 0"),
+]
 
 
 @pytest.mark.parametrize("command", ["train", "ensemble-train"])
 def test_bad_train_config_rejected_before_loading(tmp_path, capsys, command):
     # the embeddings and data paths do not exist: the config error must come first
     missing = str(tmp_path / "missing")
-    rc = main([command, "--embeddings", missing, "--train-path", missing, "--val-path", missing,
-               "--out-dir", str(tmp_path / "run"), "--seeds", "1,2", "--epochs", "0"])
-    assert rc == 1
-    assert "epochs must be >= 1" in capsys.readouterr().err
+    out_dir = tmp_path / "run"
+    for flags, message in BAD_TRAIN_SETTINGS:
+        rc = main([command, "--embeddings", missing, "--train-path", missing,
+                   "--val-path", missing, "--out-dir", str(out_dir), "--seeds", "1,2", *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err and "No such file" not in err, flags
+        assert not out_dir.exists()
+
+
+def test_config_schema_keys_and_types():
+    """The training keys come from TrainConfig; every key and type stays as it was."""
+    assert CONFIG_SCHEMA == {
+        "learning_rate": float, "beta1": float, "beta2": float, "epsilon": float,
+        "batch_size": int, "epochs": int, "dropout_rate": float, "seed": int, "k": int,
+        "biway": bool, "bi_embedding": bool, "oov_window": int,
+        "train_path": str, "val_path": str, "embeddings": str, "embeddings2": str,
+        "embedding_format": str, "out_dir": str, "workers": int, "seeds": str,
+        "max_train_pairs": int, "max_val_pairs": int,
+    }
 
 
 def test_train_predict_eval_cycle(workspace, capsys):

@@ -45,6 +45,20 @@ def write_jsonl(path, rows):
 
 
 class TestLoadSnli:
+    @pytest.mark.parametrize("max_pairs", [0, -1])
+    def test_max_pairs_below_one_rejected_before_opening(self, tmp_path, max_pairs):
+        # the file does not exist, so the value is checked before it is opened
+        with pytest.raises(ValueError, match=f"max_pairs must be >= 1, got {max_pairs}"):
+            load_snli(tmp_path / "missing.jsonl", max_pairs=max_pairs)
+
+    @pytest.mark.parametrize("max_pairs", [1, 2])
+    def test_max_pairs_caps_emitted_pairs(self, tmp_path, max_pairs):
+        rows = [{"gold_label": "neutral", "sentence1": f"a {i}", "sentence2": "b"}
+                for i in range(3)]
+        pairs, report = load_snli(write_jsonl(tmp_path / "d.jsonl", rows), max_pairs=max_pairs)
+        assert [p.id for p in pairs] == list(range(1, max_pairs + 1))
+        assert report.emitted == report.total_lines == max_pairs and report.consistent()
+
     def test_label_mapping(self, tmp_path):
         path = write_jsonl(
             tmp_path / "d.jsonl",

@@ -377,6 +377,50 @@ class TestConcat:
                 assert np.dot(lib.vector(u), lib.vector(v)) == pytest.approx(expected, abs=1e-12)
 
 
+def concat_loop(a, b):
+    """concat_libraries as a loop over the union's words, the oracle."""
+    words = a.words() + [w for w in b.words() if w not in a.vocab]
+    matrix = np.zeros((len(words), a.dim + b.dim))
+    vocab = {}
+    for i, w in enumerate(words):
+        vocab[w] = i
+        if w in a.vocab:
+            matrix[i, : a.dim] = a.vector(w)
+        if w in b.vocab:
+            matrix[i, a.dim :] = b.vector(w)
+    return EmbeddingLibrary(vocab, matrix)
+
+
+@st.composite
+def library_pairs(draw):
+    """Two libraries over one small word pool, so their vocabularies overlap,
+    are disjoint or are equal; each vocabulary dict is in a drawn order."""
+    pool = [f"w{i}" for i in range(8)]
+    libs = []
+    for dim in (draw(st.integers(1, 3)), draw(st.integers(1, 3))):
+        words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+        items = draw(st.permutations(list(zip(words, range(len(words))))))
+        values = draw(st.lists(st.floats(-4, 4), min_size=len(words) * dim,
+                               max_size=len(words) * dim))
+        libs.append(EmbeddingLibrary(dict(items), np.reshape(values, (len(words), dim))))
+    same = draw(st.booleans())
+    if same:  # identical vocabularies, in a different order
+        b = libs[1]
+        words = libs[0].words()
+        libs[1] = EmbeddingLibrary({w: i for i, w in reversed(list(enumerate(words)))},
+                                   np.resize(b.matrix, (len(words), b.dim)))
+    return libs
+
+
+@settings(max_examples=200, deadline=None)
+@given(libs=library_pairs())
+def test_concat_equals_word_loop(libs):
+    a, b = libs
+    got, want = concat_libraries(a, b), concat_loop(a, b)
+    assert list(got.vocab.items()) == list(want.vocab.items())
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
 class TestOovLookup:
     def lib(self):
         return EmbeddingLibrary(

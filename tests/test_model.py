@@ -42,6 +42,14 @@ def small_model(d=8, k=12, biway=False, dropout=0.0, seed=0):
     return init_model(cfg, make_rng(seed))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k", 0), ("embedding_dim", 0), ("dropout_rate", 1.0), ("oov_window", -1),
+])
+def test_model_config_rejects_nonsense(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ModelConfig(**{"embedding_dim": 4, field: value})
+
+
 class TestInit:
     def test_shapes_base(self):
         model = small_model(d=300, k=300)
@@ -500,9 +508,10 @@ class TestCheckpoint:
         lambda data: _edit_header(data, lambda h: h["arrays"][0].update(name="lstm_h.W_x")),
         lambda data: _edit_header(data, lambda h: h["arrays"][0]["shape"].reverse()),
         lambda data: _edit_header(data, lambda h: h["config"].update(k=1000000)),
+        lambda data: _edit_header(data, lambda h: h["config"].update(oov_window=-1)),
         lambda data: data[:8] + struct.pack("<Q", 200_000) + b"[" * 100_000 + b"]" * 100_000,
     ], ids=["short_header", "bad_json", "unknown_config_key", "trailing_bytes",
-            "renamed_array", "reshaped_array", "huge_k", "deep_json"])
+            "renamed_array", "reshaped_array", "huge_k", "negative_oov_window", "deep_json"])
     def test_corrupt_file_raises_checkpoint_error(self, tmp_path, corrupt):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, small_model(d=4, k=3))
@@ -597,3 +606,13 @@ def _edit_header(data, edit):
     edit(header)
     blob = json.dumps(header).encode("utf-8")
     return data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen :]
+
+
+@pytest.mark.parametrize("processes,cores,workers", [(2, 2, 0), (3, 2, 0), (1, 2, 1), (2, 4, 1)])
+def test_share_cores_runs_passes_inline_when_processes_fill_the_cores(
+    monkeypatch, processes, cores, workers
+):
+    monkeypatch.setattr(model_module, "_WORKERS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    model_module.share_cores(processes)
+    assert model_module._WORKERS == workers

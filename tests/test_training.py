@@ -159,10 +159,19 @@ class TestAdam:
 
 @pytest.mark.parametrize("field,value", [
     ("epochs", 0), ("learning_rate", -1.0), ("learning_rate", 0.0), ("epsilon", 0.0), ("k", 0),
+    ("dropout_rate", 1.5), ("dropout_rate", -0.1), ("oov_window", -1),
 ])
 def test_train_config_rejects_nonsense(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_model_config_takes_every_shared_field():
+    cfg = TrainConfig(k=7, dropout_rate=0.2, biway=True, bi_embedding=True, seed=9, oov_window=0)
+    assert cfg.model_config(6) == ModelConfig(
+        embedding_dim=6, k=7, dropout_rate=0.2, biway=True, bi_embedding=True, seed=9,
+        oov_window=0,
+    )
 
 
 def memorization_setup(n_pairs=12, seed=5, dim=16):
