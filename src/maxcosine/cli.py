@@ -155,10 +155,10 @@ def _load_pairs(path, max_pairs=None) -> list[SentencePair]:
     return pairs
 
 
-def _train_setup(cfg: dict, *required: str):
+def _train_setup(cfg: dict):
     """The training settings, data, library and output directory of a training
     command; `TrainConfig`'s checks run before any file is read or made."""
-    for key in ("train_path", "val_path", "out_dir", *required):
+    for key in ("train_path", "val_path", "out_dir"):
         if key not in cfg:
             raise CliError(f"missing required setting {key}")
     config = build_train_config(cfg)
@@ -239,13 +239,31 @@ def cmd_match(args) -> int:
     return 0
 
 
+def _ensemble_settings(cfg: dict) -> tuple[list[int], int]:
+    """The member seeds, a comma-separated list of distinct integers, and the
+    worker process count of `ensemble-train`."""
+    if "seeds" not in cfg:
+        raise CliError("missing required setting seeds")
+    try:
+        seeds = [int(s) for s in cfg["seeds"].split(",") if s.strip()]
+    except ValueError:
+        raise CliError(f"bad value for seeds: {cfg['seeds']!r}") from None
+    if not seeds:
+        raise CliError("seeds must name at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise CliError(f"seeds must be pairwise distinct, got {cfg['seeds']}")
+    workers = cfg.get("workers", 1)
+    if workers < 1:
+        raise CliError(f"workers must be >= 1, got {workers}")
+    return seeds, workers
+
+
 def cmd_ensemble_train(args) -> int:
     cfg = resolve_config(args)
-    seeds = [int(s) for s in str(cfg.get("seeds", "")).split(",") if s.strip()]
-    config, train_pairs, val_pairs, lib, out_dir = _train_setup(cfg, "seeds")
+    seeds, workers = _ensemble_settings(cfg)
+    config, train_pairs, val_pairs, lib, out_dir = _train_setup(cfg)
     group, results = ens.train_ensemble(
-        config, seeds, train_pairs, val_pairs, lib,
-        workers=cfg.get("workers", 1), metrics_dir=out_dir,
+        config, seeds, train_pairs, val_pairs, lib, workers=workers, metrics_dir=out_dir,
     )
     manifest = ens.save_ensemble(group, out_dir, seeds)
     for seed, result in zip(seeds, results):

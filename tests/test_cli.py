@@ -126,13 +126,23 @@ BAD_TRAIN_SETTINGS = [
     (["--max-train-pairs", "0"], "max_pairs must be >= 1, got 0"),
 ]
 
+# settings only ensemble-train reads; each flag overrides the valid `--seeds 1,2` before it
+BAD_ENSEMBLE_SETTINGS = [
+    (["--seeds", "1,1"], "seeds must be pairwise distinct, got 1,1"),
+    (["--seeds", ","], "seeds must name at least one seed"),
+    (["--seeds", "1,x"], "bad value for seeds: '1,x'"),
+    (["--workers", "0"], "workers must be >= 1, got 0"),
+    (["--workers", "-1"], "workers must be >= 1, got -1"),
+]
+
 
 @pytest.mark.parametrize("command", ["train", "ensemble-train"])
 def test_bad_train_config_rejected_before_loading(tmp_path, capsys, command):
     # the embeddings and data paths do not exist: the config error must come first
     missing = str(tmp_path / "missing")
     out_dir = tmp_path / "run"
-    for flags, message in BAD_TRAIN_SETTINGS:
+    bad = BAD_TRAIN_SETTINGS + (BAD_ENSEMBLE_SETTINGS if command == "ensemble-train" else [])
+    for flags, message in bad:
         rc = main([command, "--embeddings", missing, "--train-path", missing,
                    "--val-path", missing, "--out-dir", str(out_dir), "--seeds", "1,2", *flags])
         assert rc == 1

@@ -1,5 +1,11 @@
+import ctypes
+import os
+import platform
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +396,52 @@ def test_run_matches_each_pair_once_whatever_the_epochs(monkeypatch, biway):
         cfg = TrainConfig(k=4, batch_size=4, epochs=epochs, biway=biway)
         assert len(train(train_pairs, val_pairs, cfg, lib).history) == epochs
         assert len(calls) == directions * (len(train_pairs) + len(val_pairs))
+
+
+# Two train() calls whose batch arrays are several MiB: the packed input rows of
+# one 128-pair batch of 10-token hypotheses are 1280 x 900 float64, 9.2 MB.
+SECOND_TRAIN_FAULTS = """
+import resource
+from helpers import random_library, random_pairs
+from maxcosine.numerics import make_rng
+from maxcosine.training import TrainConfig, train
+
+rng = make_rng(0)
+lib = random_library(rng, n_words=200, dim=300)
+pairs = random_pairs(rng, lib, 128, min_len=10, max_len=10)
+config = TrainConfig(k=300, batch_size=128, epochs=1)
+train(pairs, pairs[:32], config, lib)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(pairs, pairs[:32], config, lib)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc settings are made on glibc only")
+def test_second_train_call_reuses_the_heap():
+    """A fresh process, so the allocator starts from its import-time state. The
+    first call faults in the heap; the second reuses it instead of mapping each
+    batch's arrays again (~10,300 faults a call when glibc maps and unmaps them)."""
+    tests = Path(__file__).resolve().parent
+    src = Path(model_module.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", SECOND_TRAIN_FAULTS], env=env,
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    assert int(out) < 1000
+
+
+@pytest.mark.parametrize("confstr", [None, ValueError, AttributeError])
+def test_malloc_settings_are_a_no_op_off_glibc(monkeypatch, confstr):
+    """Without glibc's version string, no C library is opened and nothing is raised."""
+    def no_glibc(name):
+        if confstr is None:
+            return None
+        raise confstr(name)
+
+    def no_library(*args):
+        raise AssertionError("opened a C library off glibc")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert model_module._keep_freed_memory() is None
