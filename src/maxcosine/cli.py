@@ -18,6 +18,7 @@ from . import checkpoint as ckpt
 from . import ensemble as ens
 from .data import LABEL_NAMES, SentencePair, load_snli, tokenize
 from .embeddings import (
+    DEFAULT_OOV_WINDOW,
     EmbeddingLibrary,
     concat_libraries,
     embed_sentence,
@@ -30,7 +31,7 @@ from .gradcheck import model_gradient_check
 from .matching import match_indices
 from .model import ModelConfig, init_model
 from .numerics import make_rng
-from .training import TrainConfig, evaluate, train
+from .training import DivergenceError, TrainConfig, evaluate, train
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +53,8 @@ CONFIG_SCHEMA: dict[str, type] = {
     "max_val_pairs": int,
 }
 
+EMBEDDING_FORMATS = ("auto", "binary", "text")
+
 
 class CliError(Exception):
     pass
@@ -63,19 +66,8 @@ def _parse_bool(value: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"not a boolean: {value!r}")
-
-
-def _coerce(key: str, value: str):
-    if key not in CONFIG_SCHEMA:
-        raise CliError(f"unknown config key: {key!r}")
-    ty = CONFIG_SCHEMA[key]
-    if ty is bool:
-        return _parse_bool(value)
-    try:
-        return ty(value)
-    except ValueError:
-        raise CliError(f"bad value for {key}: {value!r}") from None
+    # argparse reports this type of error as its own, naming the flag
+    raise argparse.ArgumentTypeError(f"not a boolean: {value!r}")
 
 
 def read_config_file(path) -> dict:
@@ -88,8 +80,14 @@ def read_config_file(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise CliError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = _coerce(key.strip(), value.strip())
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key not in CONFIG_SCHEMA:
+                raise CliError(f"{path}:{lineno}: unknown config key: {key!r}")
+            ty = CONFIG_SCHEMA[key]
+            try:
+                out[key] = _parse_bool(value) if ty is bool else ty(value)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise CliError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return out
 
 
@@ -105,10 +103,6 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def build_train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
-
-
 def _detect_format(path) -> str:
     with open(path, "rb") as fh:
         first = fh.readline(128)
@@ -116,14 +110,10 @@ def _detect_format(path) -> str:
 
 
 def load_library(path, fmt: str = "auto") -> EmbeddingLibrary:
+    """One library file; `fmt` is one of `EMBEDDING_FORMATS`."""
     if fmt == "auto":
         fmt = _detect_format(path)
-    if fmt == "binary":
-        lib = load_binary_format(path)
-    elif fmt == "text":
-        lib = load_text_format(path)
-    else:
-        raise CliError(f"unknown embedding format {fmt!r}")
+    lib = load_binary_format(path) if fmt == "binary" else load_text_format(path)
     log.info(
         "%s: %d words, dimension %d, %d duplicates dropped",
         path, len(lib), lib.dim, lib.duplicates_dropped,
@@ -131,12 +121,19 @@ def load_library(path, fmt: str = "auto") -> EmbeddingLibrary:
     return lib
 
 
-def load_libraries(cfg: dict) -> EmbeddingLibrary:
+def _library_format(cfg: dict) -> str:
+    """The format of the libraries the settings name, checked before any file is read."""
     if "embeddings" not in cfg:
         raise CliError("no embeddings path given (embeddings=... or --embeddings)")
-    if cfg.get("bi_embedding") and "embeddings2" not in cfg:
-        raise CliError("bi_embedding=true requires a second library (embeddings2)")
     fmt = cfg.get("embedding_format", "auto")
+    if fmt not in EMBEDDING_FORMATS:
+        raise CliError(f"unknown embedding format {fmt!r}")
+    return fmt
+
+
+def load_libraries(cfg: dict) -> EmbeddingLibrary:
+    """The `embeddings` library, concatenated with `embeddings2` when that is given."""
+    fmt = _library_format(cfg)
     lib = load_library(cfg["embeddings"], fmt)
     if "embeddings2" in cfg:
         lib = concat_libraries(lib, load_library(cfg["embeddings2"], fmt))
@@ -157,11 +154,17 @@ def _load_pairs(path, max_pairs=None) -> list[SentencePair]:
 
 def _train_setup(cfg: dict):
     """The training settings, data, library and output directory of a training
-    command; `TrainConfig`'s checks run before any file is read or made."""
+    command; every setting is checked before any file is read or made.
+    `bi_embedding` is whether `embeddings2` is given."""
     for key in ("train_path", "val_path", "out_dir"):
         if key not in cfg:
             raise CliError(f"missing required setting {key}")
-    config = build_train_config(cfg)
+    _library_format(cfg)
+    bi_embedding = "embeddings2" in cfg
+    if cfg.setdefault("bi_embedding", bi_embedding) != bi_embedding:
+        raise CliError(f"bi_embedding={str(cfg['bi_embedding']).lower()} but embeddings2 is "
+                       f"{'' if bi_embedding else 'not '}given; it follows embeddings2")
+    config = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
     train_pairs = _load_pairs(cfg["train_path"], cfg.get("max_train_pairs"))
     val_pairs = _load_pairs(cfg["val_path"], cfg.get("max_val_pairs"))
     lib = load_libraries(cfg)
@@ -227,7 +230,8 @@ def cmd_match(args) -> int:
     pair = _sentence_pair(args)
     prem, hyp = pair.premise_tokens, pair.hypothesis_tokens
     cfg = resolve_config(args)
-    window = build_train_config(cfg).oov_window
+    # checked by the rule a model's window obeys, before the library loads
+    window = ModelConfig(1, oov_window=cfg.get("oov_window", DEFAULT_OOV_WINDOW)).oov_window
     lib = load_libraries(cfg)
     prem_rows = embed_sentence(lib, prem, window)
     hyp_rows = embed_sentence(lib, hyp, window)
@@ -265,7 +269,7 @@ def cmd_ensemble_train(args) -> int:
     group, results = ens.train_ensemble(
         config, seeds, train_pairs, val_pairs, lib, workers=workers, metrics_dir=out_dir,
     )
-    manifest = ens.save_ensemble(group, out_dir, seeds)
+    manifest = ens.save_ensemble(group, out_dir)
     for seed, result in zip(seeds, results):
         print(f"seed {seed}: best epoch {result.best_epoch}, "
               f"val_accuracy={result.best_val_accuracy:.4f}")
@@ -274,8 +278,7 @@ def cmd_ensemble_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = resolve_config(args)
-    seed = cfg.get("seed", 0)
+    seed = resolve_config(args).get("seed", 0)
     rng = make_rng(seed)
     d, k = args.dim, args.k
     vocab = [f"w{i}" for i in range(24)]
@@ -308,7 +311,7 @@ def cmd_embed_convert(args) -> int:
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser, keys=CONFIG_SCHEMA) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
     p.add_argument("--config", help="key=value config file")
     for key in keys:
         ty = CONFIG_SCHEMA[key]
@@ -323,32 +326,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="maxcosine")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command takes flags for the keys it reads; a config file may hold any
+    # key, and each command reads only its own, so one file serves every command
+    library_keys = ("embeddings", "embeddings2", "embedding_format")
+    train_keys = [key for key in CONFIG_SCHEMA if key not in ("seeds", "workers")]
 
     p = sub.add_parser("train", help="train a model, write checkpoint and metrics")
-    _add_config_flags(p)
+    _add_config_flags(p, train_keys)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or ensemble manifest")
     p.add_argument("checkpoint")
     p.add_argument("dataset")
-    _add_config_flags(p)
+    _add_config_flags(p, library_keys)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify one premise/hypothesis pair")
     p.add_argument("checkpoint")
     p.add_argument("premise")
     p.add_argument("hypothesis")
-    _add_config_flags(p)
+    _add_config_flags(p, library_keys)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("match", help="show max-cosine word alignments")
     p.add_argument("premise")
     p.add_argument("hypothesis")
-    _add_config_flags(p)
+    _add_config_flags(p, (*library_keys, "oov_window"))
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("ensemble-train", help="train one member per seed")
-    _add_config_flags(p)
+    _add_config_flags(p, CONFIG_SCHEMA)
     p.set_defaults(func=cmd_ensemble_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--to", choices=("text", "binary"), required=True)
-    p.add_argument("--from-format", choices=("text", "binary", "auto"), default="auto")
+    p.add_argument("--from-format", choices=EMBEDDING_FORMATS, default="auto")
     p.set_defaults(func=cmd_embed_convert)
     return parser
 
@@ -375,7 +382,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,12 +61,13 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def load_text_format(path, expected_dim: Optional[int] = None) -> EmbeddingLibrary:
+def load_text_format(path) -> EmbeddingLibrary:
     """Load `word v1 v2 ... vd` lines; first occurrence of a word wins.
 
     The first line fixes d. After it a word may contain spaces (840B GloVe has
     `. . .`): each line's last d fields are the vector and the rest is the word,
-    unless the rest ends in a number, which makes the line one of surplus components."""
+    unless the rest ends in a number, which makes the line one of surplus components.
+    Every component of a kept line must be finite."""
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim = None
@@ -87,10 +88,6 @@ def load_text_format(path, expected_dim: Optional[int] = None) -> EmbeddingLibra
                 dim = len(fields)
                 if dim == 0:
                     raise EmbeddingFormatError(f"{path}:{lineno}: no vector components")
-                if expected_dim is not None and dim != expected_dim:
-                    raise EmbeddingFormatError(
-                        f"{path}:{lineno}: dimension {dim} != expected {expected_dim}"
-                    )
             else:
                 head = word.split()
                 if len(fields) != dim or (len(head) > 1 and _is_number(head[-1])):
@@ -105,6 +102,8 @@ def load_text_format(path, expected_dim: Optional[int] = None) -> EmbeddingLibra
                 vec = np.array([float(v) for v in fields], dtype=np.float64)
             except ValueError as exc:
                 raise EmbeddingFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+            if not np.isfinite(vec).all():
+                raise EmbeddingFormatError(f"{path}:{lineno}: non-finite vector component")
             vocab[word] = len(rows)
             rows.append(vec)
     if not rows:
@@ -133,9 +132,21 @@ def _text_unreadable(word: str, first: bool) -> Optional[str]:
     return None
 
 
+def _refuse_non_finite(path, fmt: str, words: list[str], values: np.ndarray) -> None:
+    """Raise, naming the first word whose row of `values`, as it would be saved,
+    is not finite: the loaders refuse such a file."""
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EmbeddingFormatError(
+            f"{path}: the {fmt} format cannot hold word {i + 1}, {words[i]!r}: "
+            "its vector is not finite"
+        )
+
+
 def save_text_format(lib: EmbeddingLibrary, path) -> None:
     """Write `word v1 ... vd` lines; a word the loader would not read back as the
-    same word raises before the file is opened."""
+    same word, or a non-finite vector, raises before the file is opened."""
     words = lib.words()
     for i, word in enumerate(words):
         why = _text_unreadable(word, first=i == 0)
@@ -143,6 +154,7 @@ def save_text_format(lib: EmbeddingLibrary, path) -> None:
             raise EmbeddingFormatError(
                 f"{path}: the text format cannot hold word {i + 1}, {word!r}: it {why}"
             )
+    _refuse_non_finite(path, "text", words, lib.matrix)
     with open(path, "w", encoding="utf-8") as fh:
         for word, row in zip(words, lib.matrix):
             fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
@@ -169,27 +181,34 @@ def _add_block(path, vocab: dict[str, int], raw_words: list, vectors: list, rows
                first: int) -> int:
     """Append one block's records, the first of which is record `first` of the file,
     to `vocab` and `rows`, the first occurrence of a word winning; returns the
-    number of duplicates dropped."""
+    number of duplicates dropped. A kept record's vector must be finite."""
+    if not raw_words:
+        return 0
     n = len(vocab)
+    block = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(len(vectors), -1)
     try:
         # a word holds no space, so one decode of the joined words splits back exactly
         words = b" ".join(raw_words).decode("utf-8").split(" ")
     except UnicodeDecodeError:
-        block = {}
-    else:
-        block = dict(zip(words, range(n, n + len(words))))
-    if len(block) == len(raw_words) and vocab.keys().isdisjoint(block):
-        vocab.update(block)
-        kept = vectors
-    else:
-        kept = []
-        for record, (raw, vec) in enumerate(zip(raw_words, vectors), start=first):
-            word = _decode(path, raw, record)
-            if word not in vocab:
-                vocab[word] = len(vocab)
-                kept.append(vec)
-    if kept:
-        rows[n : len(vocab)] = np.frombuffer(b"".join(kept), dtype="<f4").reshape(len(kept), -1)
+        words = []
+    new = dict(zip(words, range(n, n + len(words))))
+    if len(new) == len(raw_words) and vocab.keys().isdisjoint(new) and np.isfinite(block).all():
+        vocab.update(new)
+        rows[n : len(vocab)] = block
+        return 0
+    # record by record, so that errors and warnings come in file order
+    finite = np.isfinite(block).all(axis=1)
+    kept = []
+    for i, raw in enumerate(raw_words):
+        word = _decode(path, raw, first + i)
+        if word not in vocab:
+            if not finite[i]:
+                raise EmbeddingFormatError(
+                    f"{path}: non-finite vector component at record {first + i}"
+                )
+            vocab[word] = len(vocab)
+            kept.append(i)
+    rows[n : len(vocab)] = block[kept]
     return len(raw_words) - len(kept)
 
 
@@ -250,6 +269,8 @@ def load_binary_format(path) -> EmbeddingLibrary:
 
 
 def save_binary_format(lib: EmbeddingLibrary, path) -> None:
+    """Write the header and one record per word; a word with a space, or a vector
+    not finite in float32, raises before the file is opened."""
     words = lib.words()
     spaced = next((w for w in words if " " in w), None)
     if spaced is not None:
@@ -257,11 +278,14 @@ def save_binary_format(lib: EmbeddingLibrary, path) -> None:
         raise EmbeddingFormatError(
             f"{path}: the binary format cannot hold a word with a space: {spaced!r}"
         )
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
+        values = lib.matrix.astype("<f4")
+    _refuse_non_finite(path, "binary", words, values)
     with open(path, "wb") as fh:
         fh.write(f"{len(lib)} {lib.dim}\n".encode("ascii"))
-        for word, row in zip(words, lib.matrix):
+        for word, row in zip(words, values):
             fh.write(word.encode("utf-8") + b" ")
-            fh.write(row.astype("<f4").tobytes())
+            fh.write(row.tobytes())
             fh.write(b"\n")
 
 

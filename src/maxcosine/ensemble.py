@@ -8,7 +8,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,16 +117,14 @@ def load_ensemble(manifest_path) -> Ensemble:
     return Ensemble(members=[load_checkpoint(base / p) for p in paths])
 
 
-def save_ensemble(ensemble: Ensemble, out_dir, seeds: Optional[Sequence[int]] = None) -> Path:
+def save_ensemble(ensemble: Ensemble, out_dir) -> Path:
+    """Each member's checkpoint, named by its seed, and a manifest listing them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if seeds is None:
-        seeds = [m.config.seed for m in ensemble.members]
-    paths = []
-    for model, seed in zip(ensemble.members, seeds):
-        p = out / f"member_seed{seed}.ckpt"
-        save_checkpoint(p, model)
-        paths.append(p.name)
+    seeds = [m.config.seed for m in ensemble.members]
+    paths = [f"member_seed{seed}.ckpt" for seed in seeds]
+    for model, p in zip(ensemble.members, paths):
+        save_checkpoint(out / p, model)
     manifest = out / "ensemble.json"
     save_manifest(manifest, paths, seeds)
     return manifest

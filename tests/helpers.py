@@ -122,6 +122,10 @@ def load_binary_oracle(path) -> EmbeddingLibrary:
             if word in vocab:
                 dupes += 1
                 continue
+            if not np.isfinite(vec).all():
+                raise EmbeddingFormatError(
+                    f"{path}: non-finite vector component at record {record}"
+                )
             vocab[word] = n
             rows[n] = vec
             n += 1

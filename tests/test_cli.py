@@ -1,5 +1,7 @@
+import argparse
 import json
 import logging
+import re
 import shlex
 from pathlib import Path
 
@@ -43,8 +45,37 @@ def workspace(tmp_path):
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("epochs=3\nnot_a_key=1\n")
-    with pytest.raises(CliError, match="unknown config key"):
+    with pytest.raises(CliError, match=re.escape(f"{cfg}:2: unknown config key: 'not_a_key'")):
         read_config_file(cfg)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("biway = maybe", "bad value for biway: 'maybe'"),
+    ("epochs = x", "bad value for epochs: 'x'"),
+    ("no_such_key = 1", "unknown config key: 'no_such_key'"),
+    ("epochs", "expected key=value, got 'epochs'"),
+])
+def test_bad_config_file_line_names_its_location(workspace, capsys, line, message):
+    tmp_path, emb, _ = workspace
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# a comment\n{line}\n")
+    with pytest.raises(CliError, match=re.escape(f"{cfg}:2: {message}")):
+        read_config_file(cfg)
+    assert main(["match", "w0", "w1", "--config", str(cfg), "--embeddings", str(emb)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--biway", "maybe"], "argument --biway: not a boolean: 'maybe'"),
+    (["ensemble-train", "--bi-embedding", "2"], "argument --bi-embedding: not a boolean: '2'"),
+    (["train", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+])
+def test_bad_flag_value_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err
 
 
 def test_config_file_parsing(tmp_path):
@@ -124,6 +155,10 @@ BAD_TRAIN_SETTINGS = [
     (["--dropout-rate", "1.5"], "dropout_rate must be in [0, 1)"),
     (["--oov-window", "-1"], "oov_window must be >= 0"),
     (["--max-train-pairs", "0"], "max_pairs must be >= 1, got 0"),
+    (["--embedding-format", "bogus"], "unknown embedding format 'bogus'"),
+    (["--bi-embedding", "true"], "bi_embedding=true but embeddings2 is not given"),
+    (["--bi-embedding", "false", "--embeddings2", "B"],
+     "bi_embedding=false but embeddings2 is given"),
 ]
 
 # settings only ensemble-train reads; each flag overrides the valid `--seeds 1,2` before it
@@ -142,9 +177,10 @@ def test_bad_train_config_rejected_before_loading(tmp_path, capsys, command):
     missing = str(tmp_path / "missing")
     out_dir = tmp_path / "run"
     bad = BAD_TRAIN_SETTINGS + (BAD_ENSEMBLE_SETTINGS if command == "ensemble-train" else [])
+    seeds = ["--seeds", "1,2"] if command == "ensemble-train" else []
     for flags, message in bad:
         rc = main([command, "--embeddings", missing, "--train-path", missing,
-                   "--val-path", missing, "--out-dir", str(out_dir), "--seeds", "1,2", *flags])
+                   "--val-path", missing, "--out-dir", str(out_dir), *seeds, *flags])
         assert rc == 1
         err = capsys.readouterr().err
         assert message in err and "No such file" not in err, flags
@@ -161,6 +197,115 @@ def test_config_schema_keys_and_types():
         "embedding_format": str, "out_dir": str, "workers": int, "seeds": str,
         "max_train_pairs": int, "max_val_pairs": int,
     }
+
+
+def _command_flags() -> dict[str, set[str]]:
+    """The long options of each subcommand, `--help` aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+            - {"--help"} for name, p in sub.choices.items()}
+
+
+def _flags(keys) -> set[str]:
+    return {"--" + key.replace("_", "-") for key in keys}
+
+
+def test_each_command_takes_flags_for_the_keys_it_reads():
+    got = _command_flags()
+    library = {"--config", "--embeddings", "--embeddings2", "--embedding-format"}
+    assert got["eval"] == got["predict"] == library
+    assert got["match"] == library | {"--oov-window"}
+    assert got["train"] == {"--config"} | _flags(CONFIG_SCHEMA) - {"--seeds", "--workers"}
+    assert got["ensemble-train"] == got["train"] | {"--seeds", "--workers"}
+    counts = [len(got[name]) for name in ("train", "ensemble-train", "eval", "predict", "match")]
+    assert counts == [21, 23, 4, 4, 5] and sum(counts) == 57
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "model.ckpt", "dev.jsonl", "--oov-window", "0"],
+    ["eval", "model.ckpt", "dev.jsonl", "--epochs", "0"],
+    ["predict", "model.ckpt", "a", "b", "--k", "99"],
+    ["match", "a", "b", "--biway", "true"],
+    ["train", "--seeds", "1,2"],
+    ["train", "--workers", "0"],
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "{missing}", "{missing}"], ["predict", "{missing}", "a", "b"], ["match", "a", "b"],
+])
+def test_library_commands_check_the_format_before_reading(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing")
+    argv = [a.format(missing=missing) for a in argv]
+    assert main([*argv, "--embeddings", missing, "--embedding-format", "bogus"]) == 1
+    assert capsys.readouterr().err == "error: unknown embedding format 'bogus'\n"
+
+
+def test_train_bi_embedding_follows_embeddings2(workspace, capsys):
+    tmp_path, emb, data = workspace
+    emb2 = tmp_path / "emb2.txt"
+    emb2.write_text("w0 1.0 2.0\nzz 3.0 4.0\n")
+    for second, bi_embedding in (([], False), (["--embeddings2", str(emb2)], True)):
+        out_dir = tmp_path / f"bi_embedding_{bi_embedding}"
+        assert main(["train", "--embeddings", str(emb), *second, "--train-path", str(data),
+                     "--val-path", str(data), "--out-dir", str(out_dir), "--k", "4",
+                     "--epochs", "1", "--batch-size", "4"]) == 0
+        config = load_checkpoint(out_dir / "model.ckpt").config
+        assert config.bi_embedding is bi_embedding
+        assert config.embedding_dim == (8 if bi_embedding else 6)
+        assert main(["eval", str(out_dir / "model.ckpt"), str(data),
+                     "--embeddings", str(emb), *second]) == 0
+
+
+def test_one_config_file_serves_every_command(workspace, capsys):
+    """A file may hold every key; each command reads only its own."""
+    tmp_path, emb, data = workspace
+    emb2 = tmp_path / "emb2.txt"
+    emb2.write_text("w0 1.0 2.0\nzz 3.0 4.0\n")
+    out_dir = tmp_path / "shared"
+    values = {
+        "learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "batch_size": 4,
+        "epochs": 1, "dropout_rate": 0.1, "seed": 3, "k": 4, "biway": "true",
+        "bi_embedding": "true", "oov_window": 2, "train_path": data, "val_path": data,
+        "embeddings": emb, "embeddings2": emb2, "embedding_format": "text", "out_dir": out_dir,
+        "workers": 1, "seeds": "1,2", "max_train_pairs": 6, "max_val_pairs": 6,
+    }
+    assert values.keys() == CONFIG_SCHEMA.keys()
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    for argv in (["train"], ["ensemble-train"],
+                 ["eval", str(out_dir / "model.ckpt"), str(data)],
+                 ["eval", str(out_dir / "ensemble.json"), str(data)],
+                 ["predict", str(out_dir / "ensemble.json"), "w0 w1", "w2"],
+                 ["match", "w0 w1", "w2"]):
+        assert main([*argv, "--config", str(cfg)]) == 0, argv
+    assert load_checkpoint(out_dir / "model.ckpt").config.bi_embedding
+
+
+def test_match_reads_only_oov_window(workspace, capsys):
+    tmp_path, emb, _ = workspace
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 0\nk = 0\ndropout_rate = 2\nseeds = 1,1\noov_window = 1\n")
+    sentences, expected = MATCH_PINNED[2][0][:2], MATCH_PINNED[2][1]
+    assert main(["match", *sentences, "--config", str(cfg), "--embeddings", str(emb)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_is_reported_as_an_error(workspace, capsys):
+    tmp_path, emb, data = workspace
+    rc = main(["train", "--embeddings", str(emb), "--train-path", str(data),
+               "--val-path", str(data), "--out-dir", str(tmp_path / "run"),
+               "--max-train-pairs", "2", "--learning-rate", "1e300", "--epochs", "3",
+               "--batch-size", "1", "--k", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite") and "Traceback" not in err
 
 
 def test_train_predict_eval_cycle(workspace, capsys):
@@ -372,3 +517,28 @@ def test_readme_commands_parse():
     for command in commands:
         args = parser.parse_args(shlex.split(command)[1:])
         assert callable(args.func), command
+
+
+def _readme_settings_table() -> dict[str, set[str]]:
+    """The README's table of the settings each subcommand takes, as flags."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| Setting |"))
+    commands = [cell.strip().strip("`") for cell in lines[start].strip("|").split("|")][1:]
+    table = {command: {"--config"} for command in commands}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        key, *marks = (cell.strip() for cell in line.strip("|").split("|"))
+        for command, mark in zip(commands, marks):
+            if mark:
+                table[command] |= _flags([key.strip("`")])
+    return table
+
+
+def test_readme_settings_table_matches_parser():
+    table = _readme_settings_table()
+    assert sorted(table) == ["ensemble-train", "eval", "match", "predict", "train"]
+    flags = _command_flags()
+    for command, documented in table.items():
+        assert documented == flags[command], command

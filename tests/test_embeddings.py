@@ -27,10 +27,11 @@ def write(path, text):
     return path
 
 
-# the fields a text line is drawn from: words, one with a space, numbers, invalid
-# UTF-8, a lone CR, an empty field, or any few bytes
+# the fields a text line is drawn from: words, one with a space, numbers, non-finite
+# numbers, invalid UTF-8, a lone CR, an empty field, or any few bytes
 TEXT_FIELDS = st.sampled_from(
-    [b"cat", "日本".encode(), b". .", b"0.5", b"-2e3", b"nan", b"1_0", b"\xff", b"\r", b""]
+    [b"cat", "日本".encode(), b". .", b"0.5", b"-2e3", b"nan", b"inf", b"-1e999", b"1_0",
+     b"\xff", b"\r", b""]
 ) | st.binary(max_size=4)
 
 
@@ -58,9 +59,16 @@ class TestTextFormat:
         with pytest.raises(EmbeddingFormatError, match="empty"):
             load_text_format(write(tmp_path / "e.txt", ""))
 
-    def test_expected_dim_mismatch(self, tmp_path):
-        with pytest.raises(EmbeddingFormatError, match="expected"):
-            load_text_format(write(tmp_path / "e.txt", "cat 0.1 0.2"), expected_dim=5)
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_component_names_line(self, tmp_path, value):
+        path = write(tmp_path / "e.txt", f"a 1.0 2.0\nb 1.0 {value}\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=re.escape(f"{path}:2: non-finite vector component")):
+            load_text_format(path)
+
+    def test_dropped_duplicate_is_not_read(self, tmp_path):
+        lib = load_text_format(write(tmp_path / "e.txt", "a 1.0 2.0\na 1.0 inf\n"))
+        assert np.array_equal(lib.matrix, [[1.0, 2.0]]) and lib.duplicates_dropped == 1
 
     def test_word_with_spaces(self, tmp_path):
         lib = load_text_format(
@@ -87,6 +95,7 @@ class TestTextFormat:
             assert str(path) in str(exc)
         else:
             assert len(lib) == len(lib.vocab) > 0 and lib.matrix.dtype == np.float64
+            assert np.isfinite(lib.matrix).all()
 
     @pytest.mark.parametrize("line", ["dog 0.3", "dog 0.3 0.4 0.5", ". . . 0.3 0.4 0.5"])
     def test_wrong_field_count_names_line(self, tmp_path, line):
@@ -204,6 +213,22 @@ class TestBinaryFormat:
                     with pytest.raises(EmbeddingFormatError, match=message):
                         load(path)
 
+    @pytest.mark.parametrize("block", [1, 9, 1 << 16])
+    def test_non_finite_component_names_record(self, tmp_path, block):
+        # record 1 repeats record 0's word and is dropped unchecked; record 3 is kept
+        vec = struct.pack("<2f", 1.0, 2.0)
+        bad = struct.pack("<2f", 1.0, float("inf"))
+        path = tmp_path / "e.bin"
+        path.write_bytes(b"4 2\na " + vec + b"\na " + bad + b"\nb " + vec + b"\nc " + bad)
+        for load in (load_binary_format, load_binary_oracle):
+            with mock.patch.object(embeddings, "_BLOCK", block):
+                with pytest.raises(EmbeddingFormatError,
+                                   match=re.escape(f"{path}: non-finite vector component at "
+                                                   "record 3")):
+                    load(path)
+        path.write_bytes(b"2 2\na " + vec + b"\na " + bad)
+        assert np.array_equal(load_binary_format(path).matrix, [[1.0, 2.0]])
+
     def test_round_trip_float32(self, tmp_path):
         rng = make_rng(2)
         words = [f"w{i}" for i in range(6)]
@@ -229,15 +254,17 @@ WORD_PIECES = [
 
 
 @st.composite
-def binary_files(draw, max_records=12):
-    """A well-formed binary embedding file: a header, then records whose words may
-    repeat and whose LF separator is present or not."""
+def binary_files(draw, max_records=12, finite=True):
+    """A binary embedding file: a header, then records whose words may repeat, whose
+    vectors are finite unless not `finite`, and whose LF separator is present or not."""
     dim = draw(st.integers(1, 4))
     pool = draw(st.lists(st.lists(st.sampled_from(WORD_PIECES), max_size=3).map(b"".join),
                          min_size=1, max_size=6))
-    records = draw(st.lists(st.tuples(st.sampled_from(pool),
-                                      st.binary(min_size=4 * dim, max_size=4 * dim),
-                                      st.booleans()),
+    vectors = st.lists(st.floats(width=32, allow_nan=not finite, allow_infinity=not finite),
+                       min_size=dim, max_size=dim).map(lambda v: struct.pack(f"<{dim}f", *v))
+    if not finite:
+        vectors |= st.binary(min_size=4 * dim, max_size=4 * dim)
+    records = draw(st.lists(st.tuples(st.sampled_from(pool), vectors, st.booleans()),
                             min_size=1, max_size=max_records))
     body = b"".join(w + b" " + v + (b"\n" if lf else b"") for w, v, lf in records)
     return f"{len(records)} {dim}\n".encode() + body
@@ -289,7 +316,7 @@ class TestBinaryAgainstOracle:
         assert dupes > 0 and "é日" in vocab and warned
 
     @settings(max_examples=300, deadline=None)
-    @given(data=binary_files(max_records=5),
+    @given(data=binary_files(max_records=5, finite=False),
            edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3),
            cut=st.none() | st.integers(0, 200), block=st.integers(1, 64))
     def test_damaged_file_ends_in_library_or_format_error(
@@ -306,6 +333,21 @@ class TestBinaryAgainstOracle:
         assert got == outcome(load_binary_oracle, path)
         if got[0][0] == "error":
             assert str(path) in got[0][1]
+
+
+# 1e39 is finite in float64, which the text format keeps, but not in float32
+@pytest.mark.parametrize("save, fmt, value", [
+    (save_binary_format, "binary", np.inf), (save_binary_format, "binary", np.nan),
+    (save_binary_format, "binary", 1e39), (save_text_format, "text", -np.inf),
+    (save_text_format, "text", np.nan),
+])
+def test_save_rejects_non_finite_vector(tmp_path, save, fmt, value):
+    lib = EmbeddingLibrary({"a": 0, "b": 1}, np.array([[1.0, 2.0], [value, 0.0]]))
+    path = tmp_path / f"out.{fmt}"
+    with pytest.raises(EmbeddingFormatError, match=re.escape(
+            f"{path}: the {fmt} format cannot hold word 2, 'b': its vector is not finite")):
+        save(lib, path)
+    assert not path.exists()
 
 
 def test_scaled_keeps_duplicates_dropped():
