@@ -38,9 +38,11 @@ log = logging.getLogger(__name__)
 GRADCHECK_TOLERANCE = 1e-5
 
 # every accepted config-file key and its type: TrainConfig's fields but the
-# early-exit target, which has no flag, then the run's files and options
+# early-exit target, which has no flag, and bi_embedding, which follows
+# embeddings2, then the run's files and options
 CONFIG_SCHEMA: dict[str, type] = {
-    **{k: ty for k, ty in get_type_hints(TrainConfig).items() if k != "target_val_accuracy"},
+    **{k: ty for k, ty in get_type_hints(TrainConfig).items()
+       if k not in ("target_val_accuracy", "bi_embedding")},
     "train_path": str,
     "val_path": str,
     "embeddings": str,
@@ -92,14 +94,19 @@ def read_config_file(path) -> dict:
 
 
 def resolve_config(args) -> dict:
-    """Config-file values overridden by any flags that were actually passed."""
+    """Config-file values overridden by any flags that were actually passed; a
+    command with a `--seed` flag falls back to `MAXCOSINE_SEED` for it."""
     cfg = dict(read_config_file(args.config)) if getattr(args, "config", None) else {}
     for key in CONFIG_SCHEMA:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             cfg[key] = flag_value
-    if "seed" not in cfg and os.environ.get("MAXCOSINE_SEED"):
-        cfg["seed"] = int(os.environ["MAXCOSINE_SEED"])
+    env_seed = os.environ.get("MAXCOSINE_SEED")
+    if "seed" not in cfg and env_seed and hasattr(args, "seed"):
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise CliError(f"bad value for MAXCOSINE_SEED: {env_seed!r}") from None
     return cfg
 
 
@@ -160,11 +167,8 @@ def _train_setup(cfg: dict):
         if key not in cfg:
             raise CliError(f"missing required setting {key}")
     _library_format(cfg)
-    bi_embedding = "embeddings2" in cfg
-    if cfg.setdefault("bi_embedding", bi_embedding) != bi_embedding:
-        raise CliError(f"bi_embedding={str(cfg['bi_embedding']).lower()} but embeddings2 is "
-                       f"{'' if bi_embedding else 'not '}given; it follows embeddings2")
-    config = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
+    config = TrainConfig(bi_embedding="embeddings2" in cfg,
+                         **{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
     train_pairs = _load_pairs(cfg["train_path"], cfg.get("max_train_pairs"))
     val_pairs = _load_pairs(cfg["val_path"], cfg.get("max_val_pairs"))
     lib = load_libraries(cfg)
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("ensemble-train", help="train one member per seed")
-    _add_config_flags(p, CONFIG_SCHEMA)
+    _add_config_flags(p, [key for key in CONFIG_SCHEMA if key != "seed"])  # members: seeds
     p.set_defaults(func=cmd_ensemble_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the backward pass")
@@ -371,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", choices=("text", "binary"), required=True)
     p.add_argument("--from-format", choices=EMBEDDING_FORMATS, default="auto")
     p.set_defaults(func=cmd_embed_convert)
+    for p in sub.choices.values():
+        p.allow_abbrev = False  # a flag only in full: `--seed` is not `--seeds`
     return parser
 
 

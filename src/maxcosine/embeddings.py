@@ -40,9 +40,6 @@ class EmbeddingLibrary:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vocab
-
     def words(self) -> list[str]:
         out = [""] * len(self)
         for w, i in self.vocab.items():
@@ -304,13 +301,15 @@ def concat_libraries(a: EmbeddingLibrary, b: EmbeddingLibrary) -> EmbeddingLibra
 class RowTable:
     """The distinct float64 rows that sentences' tokens resolve to: the library
     row of an in-vocab token, else the mean of the in-vocab rows within +-window
-    of it, else zeros. A library row is stored once per library index, an
-    averaged or zero row once per distinct byte pattern."""
+    of it, else zeros. Each row is keyed by the library indices it is the mean
+    of: `(i,)` for word i, the in-vocab indices of the window in sentence order
+    for an OOV token, `()` for the zero row. Every one-index key reads the
+    library row, so an OOV token with one in-vocab neighbour shares that row;
+    its mean would differ only where the row holds -0.0, which it makes +0.0."""
 
     def __init__(self, lib: EmbeddingLibrary, window: int):
         self.lib, self.window = lib, window
-        self._slots: dict = {}  # library index, or the bytes of a made row -> table row
-        self._made: list[np.ndarray] = []  # the rows keyed by bytes, in slot order
+        self._slots: dict[tuple[int, ...], int] = {}  # library indices -> table row
 
     def rows(self, tokens: Sequence[str]) -> np.ndarray:
         """(n,) int32 table rows of a sentence's tokens."""
@@ -318,25 +317,20 @@ class RowTable:
         ids = [vocab.get(t, -1) for t in tokens]
         out = np.empty(len(ids), dtype=np.int32)
         for t, i in enumerate(ids):
-            if i < 0:
-                near = [j for j in ids[max(0, t - window) : max(0, t + window + 1)] if j >= 0]
-                vec = self.lib.matrix[near].mean(axis=0) if near else np.zeros(self.lib.dim)
-                i = vec.tobytes()
-                if i not in slots:
-                    self._made.append(vec)
-            out[t] = slots.setdefault(i, len(slots))
+            key = (i,)
+            if i < 0:  # the in-vocab indices of its window, () when there are none
+                key = tuple(j for j in ids[max(0, t - window) : t + window + 1] if j >= 0)
+            out[t] = slots.setdefault(key, len(slots))
         return out
 
     def array(self) -> np.ndarray:
         """(R, d) float64 rows, indexed by the values `rows` returned."""
-        table = np.empty((len(self._slots), self.lib.dim))
-        library = [(slot, i) for i, slot in self._slots.items() if not isinstance(i, bytes)]
-        if library:
-            slots, ids = zip(*library)
-            table[list(slots)] = self.lib.matrix[list(ids)]
-        made = [slot for i, slot in self._slots.items() if isinstance(i, bytes)]
-        if made:
-            table[made] = self._made
+        table = np.zeros((len(self._slots), self.lib.dim))
+        single = {slot: key[0] for key, slot in self._slots.items() if len(key) == 1}
+        table[list(single)] = self.lib.matrix[list(single.values())]
+        for key, slot in self._slots.items():
+            if len(key) > 1:
+                table[slot] = self.lib.matrix[list(key)].mean(axis=0)
         return table
 
 

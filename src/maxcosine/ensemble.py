@@ -35,9 +35,6 @@ class Ensemble:
             if dataclasses.replace(m.config, seed=0) != ref:
                 raise ValueError("ensemble members must share a config (only seeds differ)")
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def train_ensemble(
     config: TrainConfig,

@@ -30,7 +30,7 @@ def model_gradient_check(
     # the difference quotient cancels ~10 leading digits, so the objective runs in
     # extended precision, on a model whose theta is the perturbed array itself;
     # the analytic side stays plain float64
-    seqs_ld = [tuple(None if Z is None else Z.astype(np.longdouble) for Z in seq) for seq in seqs]
+    seqs_ld = [tuple(Z.astype(np.longdouble) for Z in seq) for seq in seqs]
 
     def objective(theta: np.ndarray) -> float:
         probs, _ = forward_batch(Model(model.config, theta), seqs_ld)

@@ -4,7 +4,7 @@ cosine-similar word of the other, and the matching of a whole dataset, done once
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -52,25 +52,20 @@ def match_indices(own: np.ndarray, cand: np.ndarray) -> np.ndarray:
 @dataclass
 class PairIndex:
     """Sentence pairs matched once. `table` holds the distinct float64 rows their
-    tokens resolve to; `hyp[i]` is pair i's (m, 2) int32 table rows
-    [own, matched] of hypothesis|premise, and `prem[i]`, when biway, those of
+    tokens resolve to; `sides[e][i]` is pair i's (m, 2) int32 table rows
+    [own, matched] for encoder e: hypothesis|premise, then, when biway,
     premise|hypothesis."""
 
     table: np.ndarray
-    hyp: list[np.ndarray]
-    prem: Optional[list[np.ndarray]]
+    sides: list[list[np.ndarray]]
 
-    def sequences(self, which: Iterable[int]) -> list[tuple[np.ndarray, Optional[np.ndarray]]]:
-        """The (z_h, z_p) pairs `augment_pair` gives for the pairs at positions
-        `which`: each row is the gather table[own] || table[matched]."""
+    def sequences(self, which: Iterable[int]) -> list[tuple[np.ndarray, ...]]:
+        """What `augment_pair` gives for the pairs at positions `which`: one
+        (m, 2d) array per encoder, each row the gather table[own] || table[matched]."""
         table = self.table
-
-        def gather(rows: np.ndarray) -> np.ndarray:
-            return table[rows].reshape(len(rows), -1)
-
-        if self.prem is None:
-            return [(gather(self.hyp[i]), None) for i in which]
-        return [(gather(self.hyp[i]), gather(self.prem[i])) for i in which]
+        return [
+            tuple(table[side[i]].reshape(len(side[i]), -1) for side in self.sides) for i in which
+        ]
 
 
 def index_pairs(
@@ -79,7 +74,6 @@ def index_pairs(
     """The matching of `pairs` that a model of `config` reads: every sentence
     resolved into one row table at its OOV window, and each pair matched, in
     both directions when biway."""
-    biway = config.biway
     resolved = RowTable(lib, config.oov_window)
     sentences = []
     for pair in pairs:
@@ -89,10 +83,11 @@ def index_pairs(
             (resolved.rows(pair.hypothesis_tokens), resolved.rows(pair.premise_tokens))
         )
     table = resolved.array()
-    hyp, prem = [], [] if biway else None
-    for h, p in sentences:
-        h_rows, p_rows = table[h], table[p]
-        hyp.append(np.stack([h, p[match_indices(h_rows, p_rows)]], axis=1))
-        if biway:
-            prem.append(np.stack([p, h[match_indices(p_rows, h_rows)]], axis=1))
-    return PairIndex(table, hyp, prem)
+    sides: list[list[np.ndarray]] = [[] for _ in config.encoders]
+    for ids in sentences:
+        rows = [table[i] for i in ids]
+        # side 0 matches the hypothesis to the premise, side 1 the reverse
+        for own, side in enumerate(sides):
+            match = match_indices(rows[own], rows[1 - own])
+            side.append(np.stack([ids[own], ids[1 - own][match]], axis=1))
+    return PairIndex(table, sides)

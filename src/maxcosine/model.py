@@ -46,6 +46,10 @@ class ModelConfig:
     def input_dim(self) -> int:
         return 2 * self.embedding_dim
 
+    @property
+    def encoders(self) -> tuple[str, ...]:  # checkpoint names: hypothesis|premise first
+        return ("lstm_h", "lstm_p") if self.biway else ("lstm_h",)
+
 
 GATES = ("i", "f", "o", "c")
 
@@ -124,10 +128,17 @@ class LstmTrace:
 
 @dataclass
 class ForwardTrace:
-    enc_h: LstmTrace                   # hypothesis-conditioned-on-premise encoder
-    enc_p: Optional[LstmTrace]         # premise-conditioned-on-hypothesis (biway)
+    encoders: list[LstmTrace]          # one per encoder, in `Model.lstms` order
     h_out: np.ndarray                  # (B, k) or (B, 2k) rows fed to the softmax layer
     probabilities: np.ndarray          # (B, 3)
+
+    @property
+    def enc_h(self) -> LstmTrace:  # hypothesis-conditioned-on-premise
+        return self.encoders[0]
+
+    @property
+    def enc_p(self) -> Optional[LstmTrace]:  # premise-conditioned-on-hypothesis, when biway
+        return self.encoders[1] if len(self.encoders) > 1 else None
 
 
 def _layout(config: ModelConfig, per_gate: bool) -> list[tuple[str, tuple[int, ...]]]:
@@ -136,15 +147,15 @@ def _layout(config: ModelConfig, per_gate: bool) -> list[tuple[str, tuple[int, .
     LSTM array split into its gates' row blocks `W_i … W_c`, `b_i … b_c` when
     `per_gate`."""
     k, n = config.k, config.input_dim + config.k
-    lstms = ("lstm_h", "lstm_p") if config.biway else ("lstm_h",)
     out = []
-    for lstm in lstms:
+    for lstm in config.encoders:
         for name, shape in (("W", (k, n)), ("b", (k,))):
             if per_gate:
                 out += [(f"{lstm}.{name}_{gate}", shape) for gate in GATES]
             else:
                 out.append((f"{lstm}.{name}", (len(GATES) * k,) + shape[1:]))
-    return out + [("softmax.W_s", (N_LABELS, len(lstms) * k)), ("softmax.b_s", (N_LABELS,))]
+    return out + [("softmax.W_s", (N_LABELS, len(config.encoders) * k)),
+                  ("softmax.b_s", (N_LABELS,))]
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -160,8 +171,7 @@ class Model:
         self.config = config
         self.theta = np.zeros(parameter_count(config)) if theta is None else theta
         arrays = Params(self.theta, _layout(config, per_gate=False))
-        self.lstm_h = LstmParams(arrays["lstm_h.W"], arrays["lstm_h.b"])
-        self.lstm_p = LstmParams(arrays["lstm_p.W"], arrays["lstm_p.b"]) if config.biway else None
+        self.lstms = [LstmParams(arrays[f"{e}.W"], arrays[f"{e}.b"]) for e in config.encoders]
         self.softmax = SoftmaxParams(arrays["softmax.W_s"], arrays["softmax.b_s"])
 
     def parameters(self) -> Params:
@@ -187,9 +197,8 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     """Uniform Glorot weights (per gate for the LSTMs), zero biases; biway
     allocates two independent LSTMs."""
     model = Model(config)
-    for lstm in (model.lstm_h, model.lstm_p):
-        if lstm is not None:
-            _glorot(rng, config.k, lstm.W)
+    for lstm in model.lstms:
+        _glorot(rng, config.k, lstm.W)
     _glorot(rng, N_LABELS, model.softmax.W_s)
     return model
 
@@ -275,25 +284,24 @@ def decide(softmax_params: SoftmaxParams, h: np.ndarray) -> tuple[np.ndarray, np
 
 def augment_pair(
     pair: SentencePair, lib: EmbeddingLibrary, config: ModelConfig
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Matching step: the (m, 2d) rows [own || matched] of hypothesis|premise
-    always, and of premise|hypothesis when biway, gathered from an index of the
-    one pair."""
+) -> tuple[np.ndarray, ...]:
+    """Matching step: one (m, 2d) array of rows [own || matched] per encoder,
+    hypothesis|premise, then premise|hypothesis when biway, gathered from an
+    index of the one pair."""
     return index_pairs([pair], lib, config).sequences([0])[0]
 
 
 def _encoder_passes(
     model: Model,
-    seqs: Sequence[tuple[np.ndarray, Optional[np.ndarray]]],
+    seqs: Sequence[tuple[np.ndarray, ...]],
     train: bool,
     rng: Optional[np.random.Generator],
 ) -> list[tuple[Callable, tuple, int]]:
     """One `lstm_forward` pass per encoder of `model`, as `_run_passes` jobs,
     with any train-mode dropout already drawn and applied."""
-    cfg = model.config
-    lstms = [model.lstm_h, model.lstm_p] if cfg.biway else [model.lstm_h]
-    if cfg.biway and any(z_p is None for _, z_p in seqs):
-        raise ValueError("biway forward needs the premise-side sequence")
+    cfg, lstms = model.config, model.lstms
+    if any(len(seq) != len(lstms) for seq in seqs):
+        raise ValueError(f"a model of {len(lstms)} encoders needs {len(lstms)} sequences a pair")
     inputs = [[seq[side] for seq in seqs] for side in range(len(lstms))]
     out_masks = [None] * len(lstms)
     if train and cfg.dropout_rate > 0.0:
@@ -313,9 +321,9 @@ def _encoder_passes(
     ]
 
 
-def _softmax_input(model: Model, h_finals: Sequence[np.ndarray]) -> np.ndarray:
-    # premise side first in the biway softmax input
-    return np.hstack([h_finals[1], h_finals[0]]) if model.config.biway else h_finals[0]
+def _softmax_input(h_finals: Sequence[np.ndarray]) -> np.ndarray:
+    # the encoders' final states, last encoder first: premise side first when biway
+    return np.hstack(h_finals[::-1])
 
 
 def _final_states(*args) -> np.ndarray:
@@ -325,7 +333,7 @@ def _final_states(*args) -> np.ndarray:
 
 def forward_batch(
     model: Model,
-    seqs: Sequence[tuple[np.ndarray, Optional[np.ndarray]]],
+    seqs: Sequence[tuple[np.ndarray, ...]],
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
@@ -339,13 +347,9 @@ def forward_batch(
     calling thread: at 32 to 64 rows a step a second thread gained nothing.
     """
     enc = [fn(*args) for fn, args, _ in _encoder_passes(model, seqs, train, rng)]
-    h_out = _softmax_input(model, [e.h_final for e in enc])
+    h_out = _softmax_input([e.h_final for e in enc])
     probs, _ = decide(model.softmax, h_out)
-    trace = ForwardTrace(
-        enc_h=enc[0], enc_p=enc[1] if model.config.biway else None, h_out=h_out,
-        probabilities=probs,
-    )
-    return probs, trace
+    return probs, ForwardTrace(encoders=enc, h_out=h_out, probabilities=probs)
 
 
 def member_mean(member_probs: Sequence[np.ndarray]) -> np.ndarray:
@@ -360,7 +364,7 @@ def member_mean(member_probs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def forward_members(
-    models: Sequence[Model], seqs: Sequence[tuple[np.ndarray, Optional[np.ndarray]]]
+    models: Sequence[Model], seqs: Sequence[tuple[np.ndarray, ...]]
 ) -> np.ndarray:
     """Eval-mode (B, 3) `member_mean` of the models' probabilities on the same
     batch, each member's as `forward_batch` gives them. All the models'
@@ -370,7 +374,7 @@ def forward_members(
     jobs = [(_final_states, args, cost) for each in passes for _, args, cost in each]
     finals = iter(_run_passes(jobs))
     return member_mean([
-        decide(m.softmax, _softmax_input(m, [next(finals) for _ in each]))[0]
+        decide(m.softmax, _softmax_input([next(finals) for _ in each]))[0]
         for m, each in zip(models, passes)
     ])
 
@@ -449,11 +453,10 @@ def backward(
     np.matmul(dp.T, trace.h_out, out=out.softmax.W_s)
     np.sum(dp, axis=0, out=out.softmax.b_s)
     dh_out = dp @ model.softmax.W_s
-    k = model.config.k
-    if model.config.biway:
-        lstm_backward(model.lstm_p, trace.enc_p, dh_out[:, :k], out.lstm_p)
-        dh_out = dh_out[:, k:]
-    lstm_backward(model.lstm_h, trace.enc_h, dh_out, out.lstm_h)
+    # the softmax input holds the encoders' final states, last encoder first
+    dh_finals = np.split(dh_out, len(model.lstms), axis=1)[::-1]
+    for lstm, enc, dh_final, grad in zip(model.lstms, trace.encoders, dh_finals, out.lstms):
+        lstm_backward(lstm, enc, dh_final, grad)
     return out.parameters()
 
 

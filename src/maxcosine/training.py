@@ -223,24 +223,27 @@ def train(
             started = time.perf_counter()
             order = rng.permutation(n)
             loss_sum = 0.0
-            for start in range(0, n, config.batch_size):
-                which = order[start : start + config.batch_size]
-                batch = [train_pairs[i] for i in which]
-                seqs = train_index.sequences(which)
-                probs, trace = forward_batch(model, seqs, train=True, rng=rng)
-                losses = pair_losses(probs, [pair.label for pair in batch])
-                diverged = [pair.id for pair, loss in zip(batch, losses) if not np.isfinite(loss)]
-                if diverged:
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}, "
-                        f"pairs {diverged}"
-                    )
-                for loss in losses:
-                    loss_sum += loss
-                backward(model, trace, [pair.label for pair in batch], out=grad_model)
-                del seqs, trace  # freed before the next batch's are built
-                grad_model.theta /= len(batch)
-                adam_step(params, grads, state, config)
+            # a diverging step raises DivergenceError; numpy's warnings would add nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, config.batch_size):
+                    which = order[start : start + config.batch_size]
+                    batch = [train_pairs[i] for i in which]
+                    seqs = train_index.sequences(which)
+                    labels = [pair.label for pair in batch]
+                    probs, trace = forward_batch(model, seqs, train=True, rng=rng)
+                    losses = pair_losses(probs, labels)
+                    diverged = [p.id for p, loss in zip(batch, losses) if not np.isfinite(loss)]
+                    if diverged:
+                        raise DivergenceError(
+                            f"non-finite loss at epoch {epoch}, "
+                            f"batch {start // config.batch_size}, pairs {diverged}"
+                        )
+                    for loss in losses:
+                        loss_sum += loss
+                    backward(model, trace, labels, out=grad_model)
+                    del seqs, trace  # freed before the next batch's are built
+                    grad_model.theta /= len(batch)
+                    adam_step(params, grads, state, config)
             trained = time.perf_counter()
             train_loss = loss_sum / n
             val = evaluate(val_pairs, model, lib, index=val_index)

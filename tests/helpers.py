@@ -54,9 +54,8 @@ def assert_views_tile_theta(model) -> None:
     view of `model.theta`, and each list of them tiles it in checkpoint order
     with no gap or overlap: writing 0, 1, 2, ... into theta reads back so."""
     model.theta[:] = np.arange(model.theta.size)
-    lstms = [model.lstm_h] + ([model.lstm_p] if model.config.biway else [])
-    blocks = [a for lstm in lstms for a in (lstm.W, lstm.b)] + [model.softmax.W_s,
-                                                               model.softmax.b_s]
+    blocks = [a for lstm in model.lstms for a in (lstm.W, lstm.b)] + [model.softmax.W_s,
+                                                                     model.softmax.b_s]
     for arrays in (list(model.parameters().values()), blocks):
         start = 0
         for a in arrays:
@@ -195,10 +194,12 @@ def match_indices_reference(own, cand) -> np.ndarray:
 
 
 def augment_pair_reference(pair, lib, window, biway):
-    """(z_h, z_p) of one pair as the program built them before it indexed
-    datasets: both sentences resolved, then matched and stacked per direction."""
+    """(z_h,), or (z_h, z_p) when biway, of one pair as the program built them
+    before it indexed datasets: both sentences resolved, then matched and
+    stacked per direction."""
     prem = embed_sentence_reference(lib, pair.premise_tokens, window)
     hyp = embed_sentence_reference(lib, pair.hypothesis_tokens, window)
     z_h = np.hstack([hyp, prem[match_indices_reference(hyp, prem)]])
-    z_p = np.hstack([prem, hyp[match_indices_reference(prem, hyp)]]) if biway else None
-    return z_h, z_p
+    if not biway:
+        return (z_h,)
+    return z_h, np.hstack([prem, hyp[match_indices_reference(prem, hyp)]])

@@ -53,6 +53,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("biway = maybe", "bad value for biway: 'maybe'"),
     ("epochs = x", "bad value for epochs: 'x'"),
     ("no_such_key = 1", "unknown config key: 'no_such_key'"),
+    ("bi_embedding = true", "unknown config key: 'bi_embedding'"),  # follows embeddings2
     ("epochs", "expected key=value, got 'epochs'"),
 ])
 def test_bad_config_file_line_names_its_location(workspace, capsys, line, message):
@@ -67,7 +68,7 @@ def test_bad_config_file_line_names_its_location(workspace, capsys, line, messag
 
 @pytest.mark.parametrize("argv, message", [
     (["train", "--biway", "maybe"], "argument --biway: not a boolean: 'maybe'"),
-    (["ensemble-train", "--bi-embedding", "2"], "argument --bi-embedding: not a boolean: '2'"),
+    (["ensemble-train", "--biway", "2"], "argument --biway: not a boolean: '2'"),
     (["train", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
 ])
 def test_bad_flag_value_is_a_usage_error(capsys, argv, message):
@@ -156,9 +157,6 @@ BAD_TRAIN_SETTINGS = [
     (["--oov-window", "-1"], "oov_window must be >= 0"),
     (["--max-train-pairs", "0"], "max_pairs must be >= 1, got 0"),
     (["--embedding-format", "bogus"], "unknown embedding format 'bogus'"),
-    (["--bi-embedding", "true"], "bi_embedding=true but embeddings2 is not given"),
-    (["--bi-embedding", "false", "--embeddings2", "B"],
-     "bi_embedding=false but embeddings2 is given"),
 ]
 
 # settings only ensemble-train reads; each flag overrides the valid `--seeds 1,2` before it
@@ -192,7 +190,7 @@ def test_config_schema_keys_and_types():
     assert CONFIG_SCHEMA == {
         "learning_rate": float, "beta1": float, "beta2": float, "epsilon": float,
         "batch_size": int, "epochs": int, "dropout_rate": float, "seed": int, "k": int,
-        "biway": bool, "bi_embedding": bool, "oov_window": int,
+        "biway": bool, "oov_window": int,
         "train_path": str, "val_path": str, "embeddings": str, "embeddings2": str,
         "embedding_format": str, "out_dir": str, "workers": int, "seeds": str,
         "max_train_pairs": int, "max_val_pairs": int,
@@ -216,9 +214,9 @@ def test_each_command_takes_flags_for_the_keys_it_reads():
     assert got["eval"] == got["predict"] == library
     assert got["match"] == library | {"--oov-window"}
     assert got["train"] == {"--config"} | _flags(CONFIG_SCHEMA) - {"--seeds", "--workers"}
-    assert got["ensemble-train"] == got["train"] | {"--seeds", "--workers"}
+    assert got["ensemble-train"] == got["train"] - {"--seed"} | {"--seeds", "--workers"}
     counts = [len(got[name]) for name in ("train", "ensemble-train", "eval", "predict", "match")]
-    assert counts == [21, 23, 4, 4, 5] and sum(counts) == 57
+    assert counts == [20, 21, 4, 4, 5] and sum(counts) == 54
 
 
 @pytest.mark.parametrize("argv", [
@@ -228,6 +226,8 @@ def test_each_command_takes_flags_for_the_keys_it_reads():
     ["match", "a", "b", "--biway", "true"],
     ["train", "--seeds", "1,2"],
     ["train", "--workers", "0"],
+    ["train", "--bi-embedding", "true"],
+    ["ensemble-train", "--seed", "1"],
 ])
 def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exited:
@@ -270,8 +270,7 @@ def test_one_config_file_serves_every_command(workspace, capsys):
     out_dir = tmp_path / "shared"
     values = {
         "learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "batch_size": 4,
-        "epochs": 1, "dropout_rate": 0.1, "seed": 3, "k": 4, "biway": "true",
-        "bi_embedding": "true", "oov_window": 2, "train_path": data, "val_path": data,
+        "epochs": 1, "dropout_rate": 0.1, "seed": 3, "k": 4, "biway": "true", "oov_window": 2, "train_path": data, "val_path": data,
         "embeddings": emb, "embeddings2": emb2, "embedding_format": "text", "out_dir": out_dir,
         "workers": 1, "seeds": "1,2", "max_train_pairs": 6, "max_val_pairs": 6,
     }
@@ -493,6 +492,17 @@ def test_seed_env_fallback(workspace, monkeypatch, tmp_path):
             ]
         ) == 0
     assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
+
+
+def test_bad_seed_env_names_the_variable(workspace, monkeypatch, capsys):
+    ws, emb, data = workspace
+    monkeypatch.setenv("MAXCOSINE_SEED", "x")
+    assert main(["train", "--embeddings", str(emb), "--train-path", str(data),
+                 "--val-path", str(data), "--out-dir", str(ws / "env_bad")]) == 1
+    assert capsys.readouterr().err == "error: bad value for MAXCOSINE_SEED: 'x'\n"
+    assert not (ws / "env_bad").exists()
+    # a command without a seed does not read the variable
+    assert main(["match", "w0 w1", "w2", "--embeddings", str(emb)]) == 0
 
 
 def test_help_lists_subcommands(capsys):

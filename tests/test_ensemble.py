@@ -257,7 +257,7 @@ class TestManifest:
         group, _ = train_ensemble(quick_config(), [1, 2], pairs, pairs[:3], lib)
         manifest = save_ensemble(group, tmp_path / "ens")
         back = load_ensemble(manifest)
-        assert len(back) == 2
+        assert len(back.members) == 2
         for ma, mb in zip(group.members, back.members):
             for name, arr in ma.parameters().items():
                 assert np.array_equal(arr, mb.parameters()[name])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,15 +187,14 @@ def test_augment_pair_equals_per_token_oracle(biway):
         pairs.append(SentencePair(prem, hyp, label=1, id=i + 1))
     zero_rows = 0
     for pair in pairs:
-        z_h, z_p = augment_pair(pair, lib, config)
+        got = augment_pair(pair, lib, config)
+        assert len(got) == (2 if biway else 1)
         want_h = oracle_sequence(pair.hypothesis_tokens, pair.premise_tokens, lib, 2)
-        assert z_h.tobytes() == want_h.tobytes()
-        zero_rows += int(np.sum(~z_h.any(axis=1)))
+        assert got[0].tobytes() == want_h.tobytes()
+        zero_rows += int(np.sum(~got[0].any(axis=1)))
         if biway:
             want_p = oracle_sequence(pair.premise_tokens, pair.hypothesis_tokens, lib, 2)
-            assert z_p.tobytes() == want_p.tobytes()
-        else:
-            assert z_p is None
+            assert got[1].tobytes() == want_p.tobytes()
     assert zero_rows > 0
 
 
@@ -237,25 +238,32 @@ def test_gathered_sequences_equal_per_pair_matching(biway, dim):
         # every neighbour within the window is OOV: zero rows on both sides
         SentencePair(("oovA", "oovB", "w3", "oovC", "oovA"), ("oovC", "oovB", "w1"), 1, 0),
         SentencePair(("w4", "w5", "w4"), ("w5", "w4", "oovA"), 2, 1),
+        # one in-vocab word in an OOV token's window, whose row it shares; a
+        # window that holds a word twice; the all-zero library row w3 alone
+        SentencePair(("oovA", "oovB", "w7", "oovC"), ("w3", "oovA", "oovB", "oovC"), 3, 2),
+        SentencePair(("w6", "oovA", "w6", "w2"), ("w6", "w6", "oovB", "w2", "w3"), 1, 3),
     ]
     for i in range(80):
         prem = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(1, 16))))
         hyp = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(1, 10))))
-        pairs.append(SentencePair(prem, hyp, label=1, id=i + 2))
+        pairs.append(SentencePair(prem, hyp, label=1, id=i + 4))
     config = ModelConfig(embedding_dim=dim, k=1, biway=biway, oov_window=2)
     index = index_pairs(pairs, lib, config)
-    assert index.table.dtype == np.float64 and len(index.hyp) == len(pairs)
-    assert all(rows.dtype == np.int32 for rows in index.hyp + (index.prem or []))
+    assert index.table.dtype == np.float64 and len(index.sides) == (2 if biway else 1)
+    assert all(len(side) == len(pairs) for side in index.sides)
+    assert all(rows.dtype == np.int32 for side in index.sides for rows in side)
     zero_rows = 0
     for pair, gathered in zip(pairs, index.sequences(range(len(pairs)))):
         want = augment_pair_reference(pair, lib, 2, biway)
         for got in (gathered, augment_pair(pair, lib, config)):
-            assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
-            assert (got[1] is None) == (not biway)
-            if biway:
-                assert got[1].tobytes() == want[1].tobytes() and got[1].shape == want[1].shape
+            assert len(got) == len(want)
+            for z, z_want in zip(got, want):
+                assert z.tobytes() == z_want.tobytes() and z.shape == z_want.shape
         zero_rows += int(np.sum(~want[0].any(axis=1)))
     assert zero_rows > 0
+    # the OOV tokens beside w7 alone read its row, not a copy of it
+    own = index.sides[0][2][:, 0]
+    assert own[0] == own[1] == own[2] != own[3]
 
 
 def test_embed_sentence_equals_reference():
@@ -272,12 +280,39 @@ def test_embed_sentence_equals_reference():
 
 def test_index_stores_each_distinct_row_once():
     lib = EmbeddingLibrary({"a": 0, "b": 1}, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    pairs = [SentencePair(("a", "x", "b"), ("a", "y", "a"), 1, 0),
-             SentencePair(("q",), ("b", "a", "z"), 1, 1)]
-    index = index_pairs(pairs, lib, ModelConfig(embedding_dim=2, k=1, oov_window=1))
-    # rows a and b; the means for x (a and b) and for y and z (a alone, stored
-    # apart from the library row it equals); the zero row for q
-    assert len(index.table) == 5
-    own = [rows[:, 0].tolist() for rows in index.hyp]
-    assert own[0][0] == own[0][2] and own[0][1] == own[1][2] != own[0][0]
-    assert int(np.sum(~index.table.any(axis=1))) == 1
+    pairs = [SentencePair(("a", "x", "b"), ("y", "a"), 1, 0),
+             SentencePair(("q",), ("b", "v", "a"), 1, 1),
+             SentencePair(("a", "u", "a", "s", "t"), ("z", "b"), 1, 2)]
+    config = ModelConfig(embedding_dim=2, k=1, biway=True, oov_window=1)
+    index = index_pairs(pairs, lib, config)
+    # one row per key, the library indices a row is the mean of, in order of
+    # first use: (0,) for a, and for y and s, whose windows hold a alone;
+    # (0, 1) for x; (1,) for b and z; (1, 0) for v; () for q and t; (0, 0) for u
+    assert index.table.tolist() == [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5],
+                                    [0.0, 0.0], [1.0, 0.0]]
+    hyp, prem = ([rows[:, 0].tolist() for rows in side] for side in index.sides)
+    assert hyp == [[0, 0], [2, 3, 0], [2, 2]]
+    assert prem == [[0, 1, 2], [4], [0, 5, 0, 0, 4]]
+
+
+def test_index_peak_memory_grows_only_with_its_rows():
+    # half the tokens OOV, nearly every window distinct: most rows are means
+    rng = make_rng(5)
+    lib = random_library(rng, n_words=500, dim=300)
+    vocab = lib.words()
+
+    def sentence(n):
+        return tuple(str(rng.choice(vocab)) if rng.random() < 0.5
+                     else f"oov{int(rng.integers(10**6))}" for _ in range(n))
+
+    pairs = [SentencePair(sentence(int(rng.integers(8, 20))), sentence(int(rng.integers(4, 12))),
+                          1, i) for i in range(300)]
+    tracemalloc.start()
+    try:
+        index = index_pairs(pairs, lib, ModelConfig(embedding_dim=300, k=1, biway=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a table row held once, plus small keys and per-pair rows; holding each
+    # mean as an array, as its bytes and as its table row peaked at 3.6x
+    assert peak < 2.0 * index.table.nbytes

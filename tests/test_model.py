@@ -53,29 +53,29 @@ def test_model_config_rejects_nonsense(field, value):
 class TestInit:
     def test_shapes_base(self):
         model = small_model(d=300, k=300)
-        assert model.lstm_h.W.shape == (1200, 900)
-        assert model.lstm_h.b.shape == (1200,)
+        assert len(model.lstms) == 1
+        assert model.lstms[0].W.shape == (1200, 900)
+        assert model.lstms[0].b.shape == (1200,)
         assert model.softmax.W_s.shape == (3, 300)
-        assert model.lstm_p is None
 
     def test_shapes_biway(self):
         model = small_model(d=300, k=300, biway=True)
         assert model.softmax.W_s.shape == (3, 600)
-        assert model.lstm_p.W.shape == (1200, 900)
+        assert len(model.lstms) == 2 and model.lstms[1].W.shape == (1200, 900)
 
     def test_biases_zero_weights_bounded(self):
         model = small_model(d=6, k=5)
-        assert np.all(model.lstm_h.b == 0) and np.all(model.softmax.b_s == 0)
+        assert np.all(model.lstms[0].b == 0) and np.all(model.softmax.b_s == 0)
         limit = math.sqrt(6.0 / (5 + 17))  # per gate: (k, input_dim + k)
-        assert np.all(np.abs(model.lstm_h.W) <= limit)
+        assert np.all(np.abs(model.lstms[0].W) <= limit)
 
     def test_parameters_are_gate_row_views(self):
         model = small_model(d=2, k=3)
         params = model.parameters()
         params["lstm_h.W_o"][...] = 7.0
         params["lstm_h.b_f"][...] = 5.0
-        assert np.all(model.lstm_h.W[6:9] == 7.0) and np.sum(model.lstm_h.W == 7.0) == 3 * 7
-        assert np.all(model.lstm_h.b[3:6] == 5.0) and np.sum(model.lstm_h.b == 5.0) == 3
+        assert np.all(model.lstms[0].W[6:9] == 7.0) and np.sum(model.lstms[0].W == 7.0) == 3 * 7
+        assert np.all(model.lstms[0].b[3:6] == 5.0) and np.sum(model.lstms[0].b == 5.0) == 3
 
     def test_same_seed_bitwise_identical(self):
         a, b = small_model(seed=42), small_model(seed=42)
@@ -112,18 +112,18 @@ class TestEncodeSequence:
         model = small_model(d=2, k=3, dropout=0.4, seed=8)
         # one sequence, then a batch of mixed lengths with a tie and a length 1
         for lengths in ([6], [3, 1, 6, 6, 2]):
-            seqs = [(rng.standard_normal((m, 4)), None) for m in lengths]
+            seqs = [(rng.standard_normal((m, 4)),) for m in lengths]
             _, trace = forward_batch(model, seqs, train=train, rng=make_rng(9))
             enc = trace.enc_h
             # the oracle draws the masks pair by pair as one step at a time would:
             # each input, then h_m
             masks = make_rng(9)
-            for b, (Z, _) in enumerate(seqs):
+            for b, (Z,) in enumerate(seqs):
                 rows = packed_rows(enc, b)
                 h, c = np.zeros(3), np.zeros(3)
                 for t in range(len(Z)):
                     z = Z[t] * dropout_mask(masks, 4, 0.4) if train else Z[t]
-                    h, c = reference_lstm_step(model.lstm_h, z, h, c)
+                    h, c = reference_lstm_step(model.lstms[0], z, h, c)
                     assert np.max(np.abs(enc.h[rows[t]] - h)) < 1e-12
                     assert np.max(np.abs(enc.c[rows[t]] - c)) < 1e-12
                 expected = h * dropout_mask(masks, 3, 0.4) if train else h
@@ -131,15 +131,15 @@ class TestEncodeSequence:
 
     def test_zero_params_zero_state(self):
         model = small_model(d=3, k=4)
-        model.lstm_h.W[...] = 0.0
-        trace = lstm_forward(model.lstm_h, [np.ones((3, 6)), np.ones((1, 6))])
+        model.lstms[0].W[...] = 0.0
+        trace = lstm_forward(model.lstms[0], [np.ones((3, 6)), np.ones((1, 6))])
         assert np.all(trace.h_final == 0) and np.all(trace.c == 0)
 
     def test_gate_and_output_ranges(self):
         rng = make_rng(3)
         model = small_model(d=4, k=6)
         Zs = [rng.standard_normal((20, 8)), rng.standard_normal((5, 8))]
-        trace = lstm_forward(model.lstm_h, Zs)
+        trace = lstm_forward(model.lstms[0], Zs)
         sigmoid_gates = trace.gates[:, : 3 * 6]
         assert np.all(sigmoid_gates > 0) and np.all(sigmoid_gates < 1)
         assert np.all(trace.h > -1) and np.all(trace.h < 1)
@@ -147,12 +147,12 @@ class TestEncodeSequence:
     def test_dimension_mismatch(self):
         model = small_model(d=3, k=4)
         with pytest.raises(ValueError):
-            lstm_forward(model.lstm_h, [np.ones((2, 6)), np.ones((2, 5))])
+            lstm_forward(model.lstms[0], [np.ones((2, 6)), np.ones((2, 5))])
 
     def test_dropout_zero_train_equals_eval(self):
         rng = make_rng(0)
         model = small_model(d=3, k=4)
-        seqs = [(rng.standard_normal((m, 6)), None) for m in (5, 2)]
+        seqs = [(rng.standard_normal((m, 6)),) for m in (5, 2)]
         p_train, t_train = forward_batch(model, seqs, train=True, rng=make_rng(1))
         p_eval, t_eval = forward_batch(model, seqs, train=False)
         assert np.array_equal(t_train.enc_h.h_final, t_eval.enc_h.h_final)
@@ -160,7 +160,7 @@ class TestEncodeSequence:
 
     def test_eval_ignores_rate_and_rng(self):
         rng = make_rng(0)
-        seqs = [(rng.standard_normal((m, 6)), None) for m in (4, 1)]
+        seqs = [(rng.standard_normal((m, 6)),) for m in (4, 1)]
         a, _ = forward_batch(small_model(d=3, k=4, dropout=0.5), seqs, rng=make_rng(1))
         b, _ = forward_batch(small_model(d=3, k=4, dropout=0.0), seqs)
         assert np.array_equal(a, b)
@@ -169,7 +169,7 @@ class TestEncodeSequence:
         model = small_model(d=3, k=4)
         for Zs in ([np.zeros((0, 6))], [np.ones((2, 6)), np.zeros((0, 6))], []):
             with pytest.raises(ValueError):
-                lstm_forward(model.lstm_h, Zs)
+                lstm_forward(model.lstms[0], Zs)
 
     def test_inverted_dropout_expectation(self):
         # per-coordinate mean of the mask over many draws stays near 1
@@ -182,11 +182,11 @@ class TestEncodeSequence:
         rng = make_rng(0)
         model = small_model(d=3, k=4)
         Z = rng.standard_normal((7, 6))
-        trace = lstm_forward(model.lstm_h, [Z])
+        trace = lstm_forward(model.lstms[0], [Z])
         assert len(trace) == 7
         assert trace.h.shape == (7, 4)
         # time-major, longest first: timesteps 0-2 hold both sequences, then only the longer
-        trace = lstm_forward(model.lstm_h, [Z[:3], Z])
+        trace = lstm_forward(model.lstms[0], [Z[:3], Z])
         assert len(trace) == 10 and trace.order.tolist() == [1, 0]
         assert trace.steps.tolist() == [0, 2, 4, 6, 7, 8, 9, 10]
 
@@ -198,7 +198,7 @@ def test_batch_gradient_is_mean_of_single_pair_gradients(lengths, biway):
     rng = make_rng(30)
     model = small_model(d=3, k=5, biway=biway, dropout=0.3, seed=30)
     seqs = [
-        (rng.standard_normal((m_h, 6)), rng.standard_normal((m_p, 6)) if biway else None)
+        (rng.standard_normal((m_h, 6)), rng.standard_normal((m_p, 6)))[: 1 + biway]
         for m_h, m_p in zip(lengths, lengths[::-1])
     ]
     labels = [int(x) for x in rng.integers(1, 4, len(seqs))]
@@ -255,6 +255,12 @@ class TestForward:
         assert np.array_equal(a, b)
         assert a.shape == (3,)
 
+    def test_each_pair_needs_one_sequence_per_encoder(self):
+        Z = np.ones((2, 6))
+        for biway, seq in ((True, (Z,)), (False, (Z, Z))):
+            with pytest.raises(ValueError, match="sequences a pair"):
+                forward_batch(small_model(d=3, k=4, biway=biway), [seq])
+
     def test_biway_zeroed_premise_columns_reduce_to_hypothesis_decision(self):
         rng = make_rng(6)
         lib = random_library(rng, dim=6)
@@ -263,7 +269,7 @@ class TestForward:
         model.softmax.W_s[:, :5] = 0.0  # premise-side columns
         probs_biway, trace = forward(model, pair, lib)
         base = Model(ModelConfig(embedding_dim=6, k=5))
-        base.lstm_h.W[...], base.lstm_h.b[...] = model.lstm_h.W, model.lstm_h.b
+        base.lstms[0].W[...], base.lstms[0].b[...] = model.lstms[0].W, model.lstms[0].b
         base.softmax.W_s[...], base.softmax.b_s[...] = model.softmax.W_s[:, 5:], model.softmax.b_s
         probs_base, _ = forward(base, pair, lib)
         assert np.allclose(probs_biway, probs_base, atol=1e-12)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,16 @@ class TestTrain:
             train(pairs, pairs[:4], self.small_config(batch_size=len(pairs)), lib)
         named = re.search(r"pairs \[([\d, ]+)\]", str(err.value)).group(1)
         assert sorted(int(i) for i in named.split(",")) == sorted(p.id for p in pairs)
+
+    def test_diverging_run_raises_without_numpy_warnings(self):
+        rng = make_rng(2)
+        lib = random_library(rng, 20, 6)
+        pairs = random_pairs(rng, lib, 12)
+        cfg = TrainConfig(k=300, learning_rate=1e300, batch_size=1, epochs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would end the run first
+            with pytest.raises(DivergenceError, match="non-finite"):
+                train(pairs[:8], pairs[8:], cfg, lib)
 
     @pytest.mark.parametrize("biway", [False, True])
     def test_batch_reads_dropout_stream_in_pair_order(self, monkeypatch, biway):
