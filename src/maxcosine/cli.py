@@ -282,6 +282,9 @@ def cmd_ensemble_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    for flag in ("dim", "k", "pairs"):
+        if getattr(args, flag) < 1:
+            raise CliError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     seed = resolve_config(args).get("seed", 0)
     rng = make_rng(seed)
     d, k = args.dim, args.k

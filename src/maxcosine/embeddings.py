@@ -142,8 +142,9 @@ def _refuse_non_finite(path, fmt: str, words: list[str], values: np.ndarray) -> 
 
 
 def save_text_format(lib: EmbeddingLibrary, path) -> None:
-    """Write `word v1 ... vd` lines; a word the loader would not read back as the
-    same word, or a non-finite vector, raises before the file is opened."""
+    """Write `word v1 ... vd` lines atomically; a word the loader would not read
+    back as the same word, or a non-finite vector, raises before the file is
+    opened."""
     words = lib.words()
     for i, word in enumerate(words):
         why = _text_unreadable(word, first=i == 0)
@@ -152,9 +153,11 @@ def save_text_format(lib: EmbeddingLibrary, path) -> None:
                 f"{path}: the text format cannot hold word {i + 1}, {word!r}: it {why}"
             )
     _refuse_non_finite(path, "text", words, lib.matrix)
-    with open(path, "w", encoding="utf-8") as fh:
+    from .checkpoint import atomic_write  # checkpoint imports model, which imports this module
+
+    with atomic_write(path) as fh:
         for word, row in zip(words, lib.matrix):
-            fh.write(word + " " + " ".join(repr(float(v)) for v in row) + "\n")
+            fh.write((word + " " + " ".join(repr(float(v)) for v in row) + "\n").encode("utf-8"))
 
 
 # Bytes read at a time; the buffer grows past it only for a longer record. A block's
@@ -266,8 +269,8 @@ def load_binary_format(path) -> EmbeddingLibrary:
 
 
 def save_binary_format(lib: EmbeddingLibrary, path) -> None:
-    """Write the header and one record per word; a word with a space, or a vector
-    not finite in float32, raises before the file is opened."""
+    """Write the header and one record per word atomically; a word with a space,
+    or a vector not finite in float32, raises before the file is opened."""
     words = lib.words()
     spaced = next((w for w in words if " " in w), None)
     if spaced is not None:
@@ -278,7 +281,9 @@ def save_binary_format(lib: EmbeddingLibrary, path) -> None:
     with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
         values = lib.matrix.astype("<f4")
     _refuse_non_finite(path, "binary", words, values)
-    with open(path, "wb") as fh:
+    from .checkpoint import atomic_write  # checkpoint imports model, which imports this module
+
+    with atomic_write(path) as fh:
         fh.write(f"{len(lib)} {lib.dim}\n".encode("ascii"))
         for word, row in zip(words, values):
             fh.write(word.encode("utf-8") + b" ")

@@ -15,7 +15,7 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, augment_pair, check_library_dim, forward_members, share_cores
+from .model import Model, augment_pair, check_library_dim, forward_members
 from .training import TrainConfig, TrainResult, train
 
 
@@ -57,8 +57,7 @@ def train_ensemble(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing, ~1 MiB
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=share_cores,
-                                 initargs=(min(workers, len(jobs)),)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_train_member, jobs))
     else:
         results = [_train_member(job) for job in jobs]

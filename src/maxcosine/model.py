@@ -7,8 +7,8 @@ import ctypes  # numpy imports it too
 import itertools
 import math
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -467,19 +467,6 @@ def backward(
 _WORKERS = min(len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinity") else 0, 1)
 
 
-def _new_pool() -> None:
-    """Make the pool of `_WORKERS` threads. It starts a thread only when a job is
-    submitted, so an import or one-LSTM work starts none. A forked child makes
-    its own, as its parent's threads do not exist there."""
-    global _pool
-    _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="maxcosine-pass")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
-
-
 def _keep_freed_memory() -> None:
     """On glibc, serve blocks up to 32 MiB (its own ceiling for the dynamic mmap
     threshold on 64-bit) from the heap and never trim the heap, so each batch
@@ -498,34 +485,19 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-def share_cores(processes: int) -> None:
-    """Run every pass of this process on its calling thread if `processes` processes
-    like it fill the cores it may use, as each would hold its caller to the same core."""
-    global _WORKERS
-    if _WORKERS and processes >= len(os.sched_getaffinity(0)):
-        _WORKERS = 0
-
-
 def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
     """`fn(*args)` of every `(fn, args, cost)` job, in job order.
 
     The jobs must not read each other's outputs. The calling thread and up to
-    `_WORKERS` worker threads take them costliest first from one queue, and
-    each runs whole on one thread on its own arrays, so every result is
-    computed exactly as a serial loop computes it. Once all jobs have ended,
-    the first error in job order is raised.
-
-    While the jobs run, the caller is held to the first core it may use and
-    the workers to the others, and the caller's own core set is given back
-    afterwards. Left alone, the kernel could wake the worker onto the caller's
-    core and keep both there for seconds, each getting half of one core.
+    `_WORKERS` helper threads, started for this call and joined before it
+    returns, take them costliest first from one queue, and each runs whole on
+    one thread on its own arrays, so every result is computed exactly as a
+    serial loop computes it. Once all jobs have ended, the first error in job
+    order is raised.
     """
     helpers = min(_WORKERS, len(jobs) - 1)
     if helpers <= 0:
         return [fn(*args) for fn, args, _ in jobs]
-    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    own = {min(allowed)} if len(allowed) > 1 else allowed
-    others = allowed - own
     # sorted() is stable, so equal costs keep job order
     todo = deque(sorted(range(len(jobs)), key=lambda j: -jobs[j][2]))
     results: list = [None] * len(jobs)
@@ -543,21 +515,16 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
             except BaseException as exc:  # raised below, once no job is running
                 errors[j] = exc
 
-    def help_out() -> None:
-        if others:
-            os.sched_setaffinity(0, others)  # 0: the calling thread
-        drain()
-
-    if others:
-        os.sched_setaffinity(0, own)
+    threads: list[threading.Thread] = []
     try:
-        helping = [_pool.submit(help_out) for _ in range(helpers)]
+        for _ in range(helpers):
+            thread = threading.Thread(target=drain, name="maxcosine-pass")
+            thread.start()
+            threads.append(thread)
         drain()
-        for done in helping:
-            done.result()
     finally:
-        if others:
-            os.sched_setaffinity(0, allowed)
+        for thread in threads:
+            thread.join()
     error = next((e for e in errors if e is not None), None)
     if error is not None:
         raise error

@@ -3,10 +3,12 @@ implementations that tests compare the program against."""
 
 import dataclasses
 import os
+import threading
 import warnings
 
 import numpy as np
 
+from maxcosine import model as model_module
 from maxcosine.data import SentencePair
 from maxcosine.embeddings import EmbeddingFormatError, EmbeddingLibrary
 from maxcosine.model import Model, Params
@@ -27,6 +29,20 @@ def random_pairs(rng, lib, n, min_len=3, max_len=6):
         hyp = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(min_len, max_len + 1))))
         out.append(SentencePair(prem, hyp, label=int(rng.integers(1, 4)), id=i))
     return out
+
+
+def record_pass_threads(monkeypatch) -> list:
+    """The thread of every `model._final_states` pass run from now on, in the
+    order they start."""
+    seen = []
+    final_states = model_module._final_states
+
+    def recorded(*args):
+        seen.append(threading.current_thread())
+        return final_states(*args)
+
+    monkeypatch.setattr(model_module, "_final_states", recorded)
+    return seen
 
 
 def scaled(lib, c: float) -> EmbeddingLibrary:

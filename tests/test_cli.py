@@ -151,6 +151,13 @@ def test_gradcheck_command(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--dim", "--k", "--pairs"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_gradcheck_rejects_sizes_below_one(capsys, flag, value):
+    assert main(["gradcheck", flag, str(value)]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} must be >= 1, got {value}\n")
+
+
 BAD_TRAIN_SETTINGS = [
     (["--epochs", "0"], "epochs must be >= 1"),
     (["--dropout-rate", "1.5"], "dropout_rate must be in [0, 1)"),

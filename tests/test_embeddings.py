@@ -1,3 +1,4 @@
+import errno
 import re
 import struct
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import cosine, load_binary_oracle, scaled
-from maxcosine import embeddings
+from maxcosine import checkpoint, embeddings
 from maxcosine.embeddings import (
     EmbeddingFormatError,
     EmbeddingLibrary,
@@ -348,6 +349,40 @@ def test_save_rejects_non_finite_vector(tmp_path, save, fmt, value):
             f"{path}: the {fmt} format cannot hold word 2, 'b': its vector is not finite")):
         save(lib, path)
     assert not path.exists()
+
+
+class FailingWrites:
+    """A binary file whose writes after the first `allowed` raise, as on a full disk."""
+
+    def __init__(self, path, mode, allowed):
+        self.fh, self.allowed = open(path, mode), allowed
+
+    def write(self, data):
+        if self.allowed == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.allowed -= 1
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+# writes of one record: a text line; the binary header, then word, vector and newline
+@pytest.mark.parametrize("save, writes", [(save_text_format, 1), (save_binary_format, 4)])
+def test_save_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, save, writes):
+    lib = EmbeddingLibrary({"a": 0, "b": 1}, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    path = tmp_path / "out.emb"
+    path.write_bytes(b"an earlier library")
+    monkeypatch.setattr(
+        checkpoint, "open", lambda p, mode: FailingWrites(p, mode, writes), raising=False
+    )
+    with pytest.raises(OSError, match="No space left"):
+        save(lib, path)
+    assert path.read_bytes() == b"an earlier library"
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 
 def test_scaled_keeps_duplicates_dropped():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import assert_views_tile_theta, random_library, random_pairs
+from helpers import assert_views_tile_theta, random_library, random_pairs, record_pass_threads
 from maxcosine import model as model_module, training
 from maxcosine.checkpoint import CheckpointError, save_checkpoint
 from maxcosine.ensemble import (
@@ -152,15 +152,17 @@ def biway_members(lib, seeds):
     ]
 
 
-def test_parallel_members_equal_serial(monkeypatch, pass_pool):
+def test_parallel_members_equal_serial(monkeypatch, one_helper):
     lib, pairs = setup()
     group = Ensemble(members=biway_members(lib, (1, 2, 3)))
     threads = threading.active_count()
     outputs = {}
+    seen = record_pass_threads(monkeypatch)
     for workers in (0, 1):
         monkeypatch.setattr(model_module, "_WORKERS", workers)
         outputs[workers] = [predict_ensemble(group, pair, lib) for pair in pairs]
-    assert threading.active_count() == threads + 1  # the worker ran
+    assert any(t is not threading.current_thread() for t in seen)  # a helper ran
+    assert threading.active_count() == threads
     for (serial, serial_label), (parallel, label) in zip(outputs[0], outputs[1]):
         assert serial.tobytes() == parallel.tobytes() and serial_label == label
 
@@ -170,13 +172,11 @@ def _predict_all(group, pairs, lib):
             (predict_ensemble(group, pair, lib) for pair in pairs)]
 
 
-def test_forked_child_starts_its_own_worker(pass_pool):
-    # the parent's worker does not exist in a forked child, which must start its own
+def test_forked_child_predicts_as_parent(one_helper):
+    # a child forked after the parent ran passes on helper threads predicts as the parent did
     lib, pairs = setup(n_pairs=4)
     group = Ensemble(members=biway_members(lib, (1, 2)))
-    threads = threading.active_count()
     in_parent = _predict_all(group, pairs, lib)
-    assert threading.active_count() == threads + 1
     out = {}
 
     def fork_and_predict():
@@ -186,7 +186,7 @@ def test_forked_child_starts_its_own_worker(pass_pool):
     runner = threading.Thread(target=fork_and_predict, daemon=True)
     runner.start()
     runner.join(timeout=120)
-    if runner.is_alive():  # a child waits on a worker it does not have: end it
+    if runner.is_alive():  # a hung child: end it
         for child in multiprocessing.active_children():
             child.terminate()
         runner.join(timeout=30)

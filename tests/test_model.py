@@ -2,13 +2,11 @@ import hashlib
 import dataclasses
 import json
 import math
-import os
 import pickle
 import re
 import struct
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -304,8 +302,8 @@ class TestForward:
 
 
 class TestIndependentPasses:
-    def test_worker_error_reaches_caller(self, pass_pool):
-        both = threading.Barrier(2, timeout=10)  # the jobs run at once: one on the worker
+    def test_worker_error_reaches_caller(self, one_helper):
+        both = threading.Barrier(2, timeout=10)  # the jobs run at once: one on the helper
         raised = []
 
         def job():
@@ -315,9 +313,11 @@ class TestIndependentPasses:
                 raise raised[-1]
             return "caller"
 
+        threads = threading.active_count()
         with pytest.raises(ValueError) as info:
             model_module._run_passes([(job, (), 1), (job, (), 1)])
         assert len(raised) == 1 and info.value is raised[0]
+        assert threading.active_count() == threads  # the failed helper was joined
 
         def echo(i):
             both.wait()
@@ -326,37 +326,9 @@ class TestIndependentPasses:
         # results come back in job order, whatever order the jobs were taken in
         assert model_module._run_passes([(echo, (0,), 1), (echo, (1,), 2)]) == [0, 1]
 
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs two or more cores to keep apart",
-    )
-    def test_caller_and_worker_run_on_separate_cores(self, pass_pool):
-        allowed = os.sched_getaffinity(0)
-        first = min(allowed)
-        both = threading.Barrier(2, timeout=10)  # the jobs run at once: one on the worker
-        seen = {}
-
-        def job(fail):
-            both.wait()
-            seen[threading.current_thread() is threading.main_thread()] = os.sched_getaffinity(0)
-            if fail and threading.current_thread() is not threading.main_thread():
-                raise ValueError("worker pass failed")
-
-        for fail in (False, True):
-            seen.clear()
-            if fail:
-                with pytest.raises(ValueError):
-                    model_module._run_passes([(job, (fail,), 1), (job, (fail,), 1)])
-            else:
-                model_module._run_passes([(job, (fail,), 1), (job, (fail,), 1)])
-            assert seen == {True: {first}, False: allowed - {first}}
-            assert os.sched_getaffinity(0) == allowed  # the caller's cores come back
-
     def test_every_job_runs_once_under_contention(self, monkeypatch):
         workers = 4  # more threads than two jobs at a time can keep busy
-        pool = ThreadPoolExecutor(workers)
         monkeypatch.setattr(model_module, "_WORKERS", workers)
-        monkeypatch.setattr(model_module, "_pool", pool)
         runs = [0] * 64
 
         def job(j):
@@ -371,7 +343,6 @@ class TestIndependentPasses:
                 assert model_module._run_passes(jobs) == list(range(len(runs)))
         finally:
             sys.setswitchinterval(interval)
-            pool.shutdown()
         assert runs == [50] * len(runs)
 
 
@@ -614,11 +585,3 @@ def _edit_header(data, edit):
     return data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen :]
 
 
-@pytest.mark.parametrize("processes,cores,workers", [(2, 2, 0), (3, 2, 0), (1, 2, 1), (2, 4, 1)])
-def test_share_cores_runs_passes_inline_when_processes_fill_the_cores(
-    monkeypatch, processes, cores, workers
-):
-    monkeypatch.setattr(model_module, "_WORKERS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-    model_module.share_cores(processes)
-    assert model_module._WORKERS == workers

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import augment_pair_reference, flat_params, random_library, random_pairs
+from helpers import (
+    augment_pair_reference,
+    flat_params,
+    random_library,
+    random_pairs,
+    record_pass_threads,
+)
 from maxcosine import matching, model as model_module, training
 from maxcosine.model import Model, ModelConfig, augment_pair, dropout_mask, init_model
 from maxcosine.numerics import make_rng
@@ -333,31 +339,32 @@ class TestEvaluate:
             evaluate(pairs, model, lib)
 
 
-@pytest.mark.parametrize("biway", [False])
-def test_training_starts_no_thread(pass_pool, biway):
+def test_training_starts_no_thread(one_helper):
     # a base model's training steps and validation run its one LSTM on the calling thread
     rng = make_rng(8)
     lib = random_library(rng, dim=6)
     pairs = random_pairs(rng, lib, 6)
     before = threading.active_count()
-    cfg = TrainConfig(k=4, batch_size=3, epochs=2, dropout_rate=0.2, biway=biway)
+    cfg = TrainConfig(k=4, batch_size=3, epochs=2, dropout_rate=0.2)
     train(pairs, pairs[:2], cfg, lib)
     assert threading.active_count() == before
 
 
-def test_biway_training_equals_serial(monkeypatch, pass_pool):
-    # biway validation hands its two passes to the worker thread; training is
-    # bitwise what it is when every pass runs on the calling thread
+def test_biway_training_equals_serial(monkeypatch, one_helper):
+    # biway validation hands one of its two passes to a helper thread; training
+    # is bitwise what it is when every pass runs on the calling thread
     rng = make_rng(8)
     lib = random_library(rng, dim=6)
     pairs = random_pairs(rng, lib, 12)
     cfg = TrainConfig(k=4, batch_size=3, epochs=3, dropout_rate=0.2, biway=True)
     before = threading.active_count()
     runs = {}
+    seen = record_pass_threads(monkeypatch)
     for workers in (0, 1):
         monkeypatch.setattr(model_module, "_WORKERS", workers)
         runs[workers] = train(pairs, pairs[3:], cfg, lib)
-    assert threading.active_count() == before + 1  # the worker ran
+    assert any(t is not threading.current_thread() for t in seen)  # a helper ran
+    assert threading.active_count() == before
     serial, parallel = runs[0], runs[1]
     assert serial.best_model.theta.tobytes() == parallel.best_model.theta.tobytes()
     assert [h.val_accuracy for h in serial.history] == [h.val_accuracy for h in parallel.history]
