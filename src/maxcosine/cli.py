@@ -75,8 +75,14 @@ def _parse_bool(value: str) -> bool:
 def read_config_file(path) -> dict:
     """Plain `key=value` lines; `#` starts a comment; unknown keys are errors."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, which do not encode back
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CliError(f"{path}:{lineno}: not valid UTF-8") from None
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

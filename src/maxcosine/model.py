@@ -68,9 +68,6 @@ class Params(dict):
         )
         self.flat = flat
 
-    def zeros_like(self) -> "Params":
-        return Params(np.zeros_like(self.flat), [(name, a.shape) for name, a in self.items()])
-
     def name_at(self, i: int) -> str:
         """The name of the array that holds `flat[i]`."""
         for name, a in self.items():
@@ -431,12 +428,9 @@ def lstm_backward(
     np.sum(dA, axis=0, out=out.b)
 
 
-def backward(
-    model: Model, trace: ForwardTrace, labels: Sequence[int], out: Optional[Model] = None
-) -> Params:
+def backward(model: Model, trace: ForwardTrace, labels: Sequence[int]) -> Params:
     """Gradients of the cross-entropy loss summed over the batch, keyed like
-    parameters(). They are written into `out`, a model of the same config,
-    when given, and into a new one otherwise.
+    parameters(), as the parameters of a new model of the same config.
 
     Embedding vectors receive no gradient; they are fixed inputs.
     """
@@ -446,8 +440,7 @@ def backward(
     for label in labels:
         if label not in LABEL_NAMES:
             raise ValueError(f"invalid gold label {label}")
-    if out is None:
-        out = Model(model.config)
+    out = Model(model.config)
     dp = probs.copy()
     dp[np.arange(len(labels)), np.asarray(labels) - 1] -= 1.0
     np.matmul(dp.T, trace.h_out, out=out.softmax.W_s)
@@ -469,17 +462,20 @@ _WORKERS = min(len(os.sched_getaffinity(0)) - 1 if hasattr(os, "sched_getaffinit
 
 def _keep_freed_memory() -> None:
     """On glibc, serve blocks up to 32 MiB (its own ceiling for the dynamic mmap
-    threshold on 64-bit) from the heap and never trim the heap, so each batch
-    reuses the pages earlier batches faulted in; RSS stays at its high-water
-    mark. Elsewhere, this does nothing."""
+    threshold on 64-bit) from the heap, never trim the heap, and give every
+    thread the one heap, so each batch and each pass helper reuses the pages
+    earlier ones faulted in; RSS stays at one high-water mark. Elsewhere, this
+    does nothing."""
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
     except (AttributeError, ValueError, OSError):  # no confstr, or no such name
         glibc = None
     if glibc:
         mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
         mallopt(-1, -1)        # M_TRIM_THRESHOLD: never trim
+        mallopt(-8, 1)         # M_ARENA_MAX: no second arena for another thread
 
 
 _keep_freed_memory()

@@ -90,20 +90,18 @@ def cross_entropy(probabilities: Sequence[np.ndarray], gold: Sequence[int]) -> f
     return total / len(probabilities)
 
 
-ADAM_CHUNK = 1 << 15  # values updated at a time: six arrays of chunks, 1.5 MiB, fit a 2 MiB L2
+ADAM_CHUNK = 1 << 15  # values updated at a time: a chunk's arrays, 256 KiB each, stay in L2
 
 
 @dataclass
 class AdamState:
-    m: Params
-    v: Params
-    work: np.ndarray  # (2, n) scratch, n at most ADAM_CHUNK
+    m: np.ndarray  # first and second moments, each laid out like the flat parameters
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: Params) -> "AdamState":
-        work = np.empty((2, min(params.flat.size, ADAM_CHUNK)))
-        return cls(m=params.zeros_like(), v=params.zeros_like(), work=work)
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConfig) -> None:
@@ -111,7 +109,7 @@ def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConf
     in place, over their flat arrays a chunk at a time. It does the textbook
     formula's operations in its order, so the result is bitwise that of
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
-    theta -= lr m_hat / (sqrt(v_hat) + eps), without allocating per chunk.
+    theta -= lr m_hat / (sqrt(v_hat) + eps).
     A non-finite gradient raises before anything is updated."""
     finite = np.isfinite(grads.flat)
     if not finite.all():
@@ -122,23 +120,12 @@ def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConf
     bc2 = 1.0 - b2**state.t
     for start in range(0, params.flat.size, ADAM_CHUNK):
         chunk = slice(start, start + ADAM_CHUNK)
-        theta, g = params.flat[chunk], grads.flat[chunk]
-        m, v = state.m.flat[chunk], state.v.flat[chunk]
-        s, u = state.work[:, : theta.size]
-        np.multiply(g, 1.0 - b1, out=s)
+        g, m, v = grads.flat[chunk], state.m[chunk], state.v[chunk]
         m *= b1
-        m += s
-        np.multiply(g, 1.0 - b2, out=s)
-        s *= g
+        m += (1.0 - b1) * g
         v *= b2
-        v += s
-        np.divide(v, bc2, out=s)
-        np.sqrt(s, out=s)
-        s += config.epsilon
-        np.divide(m, bc1, out=u)
-        u *= config.learning_rate
-        u /= s
-        theta -= u
+        v += (1.0 - b2) * g * g
+        params.flat[chunk] -= m / bc1 * config.learning_rate / (np.sqrt(v / bc2) + config.epsilon)
 
 
 @dataclass
@@ -208,9 +195,6 @@ def train(
     val_index = index_pairs(val_pairs, lib, model.config)
     params = model.parameters()
     state = AdamState.for_params(params)
-    # every batch's gradient is written into this one buffer
-    grad_model = Model(model.config)
-    grads = grad_model.parameters()
     # epoch 1 always beats best_acc, so this is written before it is returned
     best_model = Model(model.config)
     best_epoch = 0
@@ -240,10 +224,10 @@ def train(
                         )
                     for loss in losses:
                         loss_sum += loss
-                    backward(model, trace, labels, out=grad_model)
-                    del seqs, trace  # freed before the next batch's are built
-                    grad_model.theta /= len(batch)
+                    grads = backward(model, trace, labels)
+                    grads.flat /= len(batch)
                     adam_step(params, grads, state, config)
+                    del seqs, trace, grads  # freed before the next batch's are built
             trained = time.perf_counter()
             train_loss = loss_sum / n
             val = evaluate(val_pairs, model, lib, index=val_index)

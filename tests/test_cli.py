@@ -66,6 +66,13 @@ def test_bad_config_file_line_names_its_location(workspace, capsys, line, messag
     assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
 
 
+def test_config_file_line_that_is_not_utf8_names_its_location(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes("epochs = 2  # café\n".encode() + b"out_dir = run\xff\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: not valid UTF-8\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["train", "--biway", "maybe"], "argument --biway: not a boolean: 'maybe'"),
     (["ensemble-train", "--biway", "2"], "argument --biway: not a boolean: '2'"),
@@ -241,6 +248,32 @@ def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
         main(argv)
     assert exited.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "{m}", "{m}"], "no embeddings path given (embeddings=... or --embeddings)"),
+    (["train", "--val-path", "{m}", "--out-dir", "{out}"], "missing required setting train_path"),
+    (["train", "--train-path", "{m}", "--out-dir", "{out}"], "missing required setting val_path"),
+    (["train", "--train-path", "{m}", "--val-path", "{m}"], "missing required setting out_dir"),
+    (["ensemble-train", "--train-path", "{m}", "--val-path", "{m}", "--out-dir", "{out}"],
+     "missing required setting seeds"),
+])
+def test_missing_required_setting_is_named_before_reading(tmp_path, capsys, argv, message):
+    missing, out_dir = tmp_path / "missing", tmp_path / "run"
+    assert main([a.format(m=missing, out=out_dir) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_dataset_of_unknown_labels_has_no_usable_pairs(workspace, capsys):
+    tmp_path, emb, data = workspace
+    unlabelled = tmp_path / "unlabelled.jsonl"
+    unlabelled.write_text('{"gold_label": "-", "sentence1": "w0 w1", "sentence2": "w2"}\n' * 3)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--embeddings", str(emb), "--train-path", str(unlabelled),
+                 "--val-path", str(data), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {unlabelled}: no usable pairs\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from maxcosine.data import (
     ENTAILMENT,
     NEUTRAL,
     DataFormatError,
+    SentencePair,
     load_snli,
     tokenize,
 )
@@ -34,6 +35,12 @@ class TestTokenize:
     def test_idempotent_on_own_output(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+
+@pytest.mark.parametrize("label", [0, 4])
+def test_sentence_pair_rejects_a_label_outside_1_to_3(label):
+    with pytest.raises(ValueError, match=f"label must be 1, 2, or 3, got {label}"):
+        SentencePair(("a",), ("b",), label=label, id=0)
 
 
 def write_jsonl(path, rows):

@@ -187,6 +187,14 @@ class TestBinaryFormat:
         with pytest.raises(EmbeddingFormatError, match="truncated"):
             load_binary_format(path)
 
+    @pytest.mark.parametrize("header", ["0 300", "3 0"])
+    def test_header_counts_below_one(self, tmp_path, header):
+        path = tmp_path / "e.bin"
+        path.write_bytes(f"{header}\n".encode() + b"w " + struct.pack("<3f", 1.0, 2.0, 3.0))
+        with pytest.raises(EmbeddingFormatError,
+                           match=re.escape(f"{path}: bad header counts {header}")):
+            load_binary_format(path)
+
     def test_header_count_beyond_file_size(self, tmp_path):
         path = tmp_path / "e.bin"
         path.write_bytes(b"1000000000000 300\nw " + struct.pack("<300f", *range(300)))
@@ -383,6 +391,17 @@ def test_save_failing_midway_keeps_the_earlier_file(tmp_path, monkeypatch, save,
         save(lib, path)
     assert path.read_bytes() == b"an earlier library"
     assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+
+
+@pytest.mark.parametrize("vocab, matrix, message", [
+    ({"a": 0}, np.ones(2), "matrix must be |V| x d with d > 0"),
+    ({"a": 0}, np.ones((1, 0)), "matrix must be |V| x d with d > 0"),
+    ({"a": 0}, np.ones((2, 2)), "vocab size does not match matrix row count"),
+    ({"a": 0, "b": 0}, np.ones((2, 2)), "vocab indices must be dense and unique"),
+])
+def test_library_rejects_an_inconsistent_table(vocab, matrix, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EmbeddingLibrary(vocab, matrix)
 
 
 def test_scaled_keeps_duplicates_dropped():

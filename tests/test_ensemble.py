@@ -70,6 +70,10 @@ class TestTrainEnsemble:
         with pytest.raises(ValueError, match="config"):
             Ensemble(members=[m1, m2])
 
+    def test_no_members_rejected(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            Ensemble([])
+
 
 class TestPredictEnsemble:
     def test_single_member_equals_decide(self):

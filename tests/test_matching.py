@@ -71,6 +71,10 @@ class TestMatchFast:
     def test_single_candidate(self):
         assert match_one([1.0, 0.0], [[0.5, 0.5]]) == 0
 
+    def test_empty_candidates(self):
+        with pytest.raises(ValueError, match="empty candidate list"):
+            match_indices(np.ones((1, 2)), np.empty((0, 2)))
+
     def test_zero_norm_candidate_loses_to_positive_similarity(self):
         assert match_one([1.0, 0.0], [[0.0, 0.0], [1.0, 0.5]]) == 1
 

@@ -382,6 +382,19 @@ class TestBackward:
         with pytest.raises(ValueError):
             model_gradient_check(model, pairs, lib)
 
+    def test_each_call_returns_its_own_gradients(self):
+        rng = make_rng(14)
+        lib = random_library(rng, dim=6)
+        pairs = random_pairs(rng, lib, 2)
+        model = small_model(d=6, k=4, biway=True)
+        _, trace = forward(model, pairs[0], lib)
+        first = backward(model, trace, [pairs[0].label])
+        kept = first.flat.copy()
+        _, trace = forward(model, pairs[1], lib)
+        second = backward(model, trace, [pairs[1].label])
+        assert not np.shares_memory(first.flat, second.flat)
+        assert first.flat.tobytes() == kept.tobytes() != second.flat.tobytes()
+
     def test_invalid_label(self):
         rng = make_rng(13)
         lib = random_library(rng, dim=6)

@@ -56,6 +56,10 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy([], [])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="batch size mismatch"):
+            cross_entropy([np.full(3, 1 / 3)] * 2, [1])
+
     @given(st.lists(st.tuples(
         st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-320, np.nan])),
                  min_size=3, max_size=3),
@@ -133,9 +137,9 @@ class TestAdam:
                 m_hat = m[name] / (1 - cfg.beta1**t)
                 v_hat = v[name] / (1 - cfg.beta2**t)
                 theta[name] = theta[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-                assert np.array_equal(state.m[name], m[name])
-                assert np.array_equal(state.v[name], v[name])
                 assert np.array_equal(params[name], theta[name])
+            assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+            assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
 
 
     @pytest.mark.parametrize("name,at", [("lstm_h.W_i", 0), ("lstm_p.b_o", 0),
@@ -150,7 +154,7 @@ class TestAdam:
         with pytest.raises(DivergenceError, match=rf"non-finite gradient in {re.escape(name)}$"):
             adam_step(params, grads, state, self.cfg())
         assert model.theta.tobytes() == before.tobytes() and state.t == 0
-        assert not state.m.flat.any() and not state.v.flat.any()
+        assert not state.m.any() and not state.v.any()
 
     def test_chunks_update_as_one_pass(self, monkeypatch):
         rng = make_rng(4)
@@ -163,16 +167,16 @@ class TestAdam:
             monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
             params = flat_params(start)
             state = AdamState.for_params(params)
-            assert state.work.shape == (2, min(chunk, 74))
             for g in grads:
                 adam_step(params, g, state, TrainConfig(learning_rate=0.01))
-            runs.append(b"".join(a.flat.tobytes() for a in (params, state.m, state.v)))
+            runs.append(b"".join(a.tobytes() for a in (params.flat, state.m, state.v)))
         assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("field,value", [
     ("epochs", 0), ("learning_rate", -1.0), ("learning_rate", 0.0), ("epsilon", 0.0), ("k", 0),
     ("dropout_rate", 1.5), ("dropout_rate", -0.1), ("oov_window", -1),
+    ("beta1", 1.0), ("beta2", -0.1), ("batch_size", 0),
 ])
 def test_train_config_rejects_nonsense(field, value):
     with pytest.raises(ValueError, match=field):
@@ -440,13 +444,46 @@ def test_second_train_call_reuses_the_heap():
     """A fresh process, so the allocator starts from its import-time state. The
     first call faults in the heap; the second reuses it instead of mapping each
     batch's arrays again (~10,300 faults a call when glibc maps and unmaps them)."""
+    assert int(run_fresh(SECOND_TRAIN_FAULTS).stdout) < 1000
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """`script` run in a new interpreter that imports this checkout and the test helpers."""
     tests = Path(__file__).resolve().parent
     src = Path(model_module.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
            "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", SECOND_TRAIN_FAULTS], env=env,
-                         capture_output=True, text=True, check=True, timeout=300).stdout
-    assert int(out) < 1000
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+
+
+# Biway ensemble passes on the caller and one helper thread, then glibc's
+# per-arena report, which it prints to stderr.
+ARENAS_AFTER_HELPER_PASSES = """
+import ctypes
+from helpers import random_library, random_pairs
+from maxcosine import model as model_module
+from maxcosine.ensemble import Ensemble, predict_ensemble
+from maxcosine.model import ModelConfig, init_model
+from maxcosine.numerics import make_rng
+
+model_module._WORKERS = 1
+rng = make_rng(0)
+lib = random_library(rng, n_words=40, dim=8)
+config = ModelConfig(embedding_dim=8, k=8, biway=True)
+ensemble = Ensemble([init_model(config, make_rng(seed)) for seed in (1, 2)])
+for pair in random_pairs(rng, lib, 3):
+    predict_ensemble(ensemble, pair, lib)
+ctypes.CDLL(None).malloc_stats()
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc settings are made on glibc only")
+def test_pass_helper_allocates_from_the_one_arena():
+    """A helper thread's arrays come from the caller's heap, not from a second
+    arena with its own high-water mark."""
+    stats = run_fresh(ARENAS_AFTER_HELPER_PASSES).stderr
+    assert len(re.findall(r"^Arena \d+:", stats, flags=re.M)) == 1
 
 
 @pytest.mark.parametrize("confstr", [None, ValueError, AttributeError])
