@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -22,6 +21,7 @@ from .embeddings import (
     EmbeddingLibrary,
     concat_libraries,
     embed_sentence,
+    is_binary_format,
     load_binary_format,
     load_text_format,
     save_binary_format,
@@ -47,16 +47,12 @@ CONFIG_SCHEMA: dict[str, type] = {
     "val_path": str,
     "embeddings": str,
     "embeddings2": str,
-    "embedding_format": str,
     "out_dir": str,
     "workers": int,
     "seeds": str,
     "max_train_pairs": int,
     "max_val_pairs": int,
 }
-
-EMBEDDING_FORMATS = ("auto", "binary", "text")
-
 
 class CliError(Exception):
     pass
@@ -75,14 +71,12 @@ def _parse_bool(value: str) -> bool:
 def read_config_file(path) -> dict:
     """Plain `key=value` lines; `#` starts a comment; unknown keys are errors."""
     out = {}
-    # undecodable bytes become lone surrogates, which do not encode back
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise CliError(f"{path}:{lineno}: not valid UTF-8") from None
+    with open(path, "rb") as fh:  # only LF ends a line
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CliError(f"{path}:{lineno}: not valid UTF-8") from None
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -116,17 +110,9 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _detect_format(path) -> str:
-    with open(path, "rb") as fh:
-        first = fh.readline(128)
-    return "binary" if re.fullmatch(rb"\d+ \d+\n?", first) else "text"
-
-
-def load_library(path, fmt: str = "auto") -> EmbeddingLibrary:
-    """One library file; `fmt` is one of `EMBEDDING_FORMATS`."""
-    if fmt == "auto":
-        fmt = _detect_format(path)
-    lib = load_binary_format(path) if fmt == "binary" else load_text_format(path)
+def load_library(path) -> EmbeddingLibrary:
+    """One library file, in the format `is_binary_format` finds in its bytes."""
+    lib = load_binary_format(path) if is_binary_format(path) else load_text_format(path)
     log.info(
         "%s: %d words, dimension %d, %d duplicates dropped",
         path, len(lib), lib.dim, lib.duplicates_dropped,
@@ -134,22 +120,18 @@ def load_library(path, fmt: str = "auto") -> EmbeddingLibrary:
     return lib
 
 
-def _library_format(cfg: dict) -> str:
-    """The format of the libraries the settings name, checked before any file is read."""
+def _require_embeddings(cfg: dict) -> None:
+    """Check, before any file is read, that the settings name a library."""
     if "embeddings" not in cfg:
         raise CliError("no embeddings path given (embeddings=... or --embeddings)")
-    fmt = cfg.get("embedding_format", "auto")
-    if fmt not in EMBEDDING_FORMATS:
-        raise CliError(f"unknown embedding format {fmt!r}")
-    return fmt
 
 
 def load_libraries(cfg: dict) -> EmbeddingLibrary:
     """The `embeddings` library, concatenated with `embeddings2` when that is given."""
-    fmt = _library_format(cfg)
-    lib = load_library(cfg["embeddings"], fmt)
+    _require_embeddings(cfg)
+    lib = load_library(cfg["embeddings"])
     if "embeddings2" in cfg:
-        lib = concat_libraries(lib, load_library(cfg["embeddings2"], fmt))
+        lib = concat_libraries(lib, load_library(cfg["embeddings2"]))
     return lib
 
 
@@ -172,7 +154,7 @@ def _train_setup(cfg: dict):
     for key in ("train_path", "val_path", "out_dir"):
         if key not in cfg:
             raise CliError(f"missing required setting {key}")
-    _library_format(cfg)
+    _require_embeddings(cfg)
     config = TrainConfig(bi_embedding="embeddings2" in cfg,
                          **{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
     train_pairs = _load_pairs(cfg["train_path"], cfg.get("max_train_pairs"))
@@ -315,7 +297,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_embed_convert(args) -> int:
-    lib = load_library(args.input, args.from_format)
+    lib = load_library(args.input)
     if args.to == "text":
         save_text_format(lib, args.output)
     else:
@@ -341,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # each command takes flags for the keys it reads; a config file may hold any
     # key, and each command reads only its own, so one file serves every command
-    library_keys = ("embeddings", "embeddings2", "embedding_format")
+    library_keys = ("embeddings", "embeddings2")
     train_keys = [key for key in CONFIG_SCHEMA if key not in ("seeds", "workers")]
 
     p = sub.add_parser("train", help="train a model, write checkpoint and metrics")
@@ -382,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--to", choices=("text", "binary"), required=True)
-    p.add_argument("--from-format", choices=EMBEDDING_FORMATS, default="auto")
     p.set_defaults(func=cmd_embed_convert)
     for p in sub.choices.values():
         p.allow_abbrev = False  # a flag only in full: `--seed` is not `--seeds`

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -13,11 +12,6 @@ log = logging.getLogger(__name__)
 ENTAILMENT, CONTRADICTION, NEUTRAL = 1, 2, 3
 LABEL_VALUES = {"entailment": ENTAILMENT, "contradiction": CONTRADICTION, "neutral": NEUTRAL}
 LABEL_NAMES = {ENTAILMENT: "Entailment", CONTRADICTION: "Contradiction", NEUTRAL: "Neutral"}
-
-# the lone surrogates that decoding with errors="surrogateescape" puts for bytes
-# that are not UTF-8
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
-
 
 class DataFormatError(ValueError):
     """Raised when a dataset file has too many malformed lines to load."""
@@ -68,14 +62,13 @@ def tokenize(sentence: str) -> list[str]:
     return out
 
 
-def _fields(line: str) -> Optional[tuple[str, str, str]]:
+def _fields(line: bytes) -> Optional[tuple[str, str, str]]:
     """(gold_label, sentence1, sentence2) of one JSONL line, the label "-" when
-    absent; None if the line is not a JSON object with string fields there."""
-    if not line.isascii() and _UNDECODABLE.search(line):  # isascii() is O(1)
-        return None
+    absent; None if the line is not UTF-8 holding a JSON object with string
+    fields there."""
     try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError):  # ValueError includes JSONDecodeError
+        obj = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError):  # ValueError includes both decode errors
         return None
     if not isinstance(obj, dict):
         return None
@@ -98,9 +91,8 @@ def load_snli(path, max_pairs: Optional[int] = None) -> tuple[list[SentencePair]
         raise ValueError(f"{path}: max_pairs must be >= 1, got {max_pairs}")
     pairs: list[SentencePair] = []
     report = LoadReport()
-    # undecodable bytes become lone surrogates, found per line by _fields; only
-    # LF ends a line, so a raw CR inside one leaves the later line numbers alone
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+    # only LF ends a line, so a raw CR inside one leaves the later line numbers alone
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             report.total_lines += 1
             fields = _fields(line)

@@ -1,5 +1,5 @@
-"""Word-embedding libraries: text and binary loaders, concatenation of two
-libraries, and windowed OOV averaging."""
+"""Word-embedding libraries: text and binary loaders, which of the two a file
+needs, concatenation of two libraries, and windowed OOV averaging."""
 
 from __future__ import annotations
 
@@ -59,32 +59,31 @@ def _is_number(token: str) -> bool:
 
 
 def load_text_format(path) -> EmbeddingLibrary:
-    """Load `word v1 v2 ... vd` lines; first occurrence of a word wins.
+    """Load `word v1 v2 ... vd` lines, each ended by LF; first occurrence of a word wins.
 
-    The first line fixes d. After it a word may contain spaces (840B GloVe has
-    `. . .`): each line's last d fields are the vector and the rest is the word,
-    unless the rest ends in a number, which makes the line one of surplus components.
-    Every component of a kept line must be finite."""
+    A `|V| d` header, a first line of two ASCII-digit fields, fixes d and is skipped
+    (`|V|` is not checked); else the first line fixes d. After it a word may contain
+    spaces (840B GloVe has `. . .`): each line's last d fields are the vector and the
+    rest is the word, unless the rest ends in a number, which makes the line one of
+    surplus components. Every component of a kept line must be finite."""
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim = None
     dupes = 0
-    # undecodable bytes become lone surrogates, which do not encode back
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if lineno == 1 and (dim := _header_dim(raw)) is not None:
+                continue
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise EmbeddingFormatError(f"{path}:{lineno}: not valid UTF-8") from None
             parts = line.split() if dim is None else line.rsplit(maxsplit=dim)
             if not parts:
                 continue
             word, fields = parts[0].strip(), parts[1:]
             if dim is None:
                 dim = len(fields)
-                if dim == 0:
-                    raise EmbeddingFormatError(f"{path}:{lineno}: no vector components")
             else:
                 head = word.split()
                 if len(fields) != dim or (len(head) > 1 and _is_number(head[-1])):
@@ -92,6 +91,8 @@ def load_text_format(path) -> EmbeddingLibrary:
                         f"{path}:{lineno}: inconsistent dimension "
                         f"{len(head) - 1 + len(fields)} (expected {dim})"
                     )
+            if dim == 0:
+                raise EmbeddingFormatError(f"{path}:{lineno}: no vector components")
             if word in vocab:
                 dupes += 1
                 continue
@@ -112,7 +113,8 @@ def _text_unreadable(word: str, first: bool) -> Optional[str]:
     """Why `load_text_format` would not read `word` back from a saved line, or None.
 
     The first line fixes d by a plain whitespace split. A later line splits its
-    last d fields off and strips the rest, which must not end in a number."""
+    last d fields off and strips the rest, which must not end in a number. A CR is
+    refused, though the loader keeps one inside a later word: other readers end lines at it."""
     try:
         word.encode("utf-8")
     except UnicodeEncodeError:
@@ -167,6 +169,29 @@ def save_text_format(lib: EmbeddingLibrary, path) -> None:
 # 4.3 MiB lower than with 1 MiB blocks, which took 92-96 ms (2 vCPUs, 15 loads).
 _BLOCK = 1 << 16
 _HEADER_MAX = 1 << 10
+_LINE_MAX = 1 << 20  # bytes `is_binary_format` reads of the line after a header
+
+
+def _header_dim(line: bytes) -> Optional[int]:
+    """d of a `|V| d` header line, two fields of ASCII digits; None for any other line."""
+    fields = line.split()  # never an empty field, so the join is digits only if both are
+    return int(fields[1]) if len(fields) == 2 and b"".join(fields).isdigit() else None
+
+
+def is_binary_format(path) -> bool:
+    """Whether `path` holds the binary format rather than text, from its first two
+    lines: a `|V| d` header, then a line that is not UTF-8 ending in d numbers,
+    which is how `load_text_format` would split it after the same header."""
+    with open(path, "rb") as fh:
+        dim = _header_dim(fh.readline(_HEADER_MAX))
+        line = fh.readline(_LINE_MAX)
+    if dim is None:
+        return False
+    try:
+        fields = line.decode("utf-8").split()
+    except UnicodeDecodeError:
+        return True
+    return not (len(fields) > dim and all(map(_is_number, fields[-dim:])))
 
 
 def _decode(path, raw: bytes, n: int) -> str:

@@ -340,8 +340,8 @@ def forward_batch(
     hidden state. The masks are drawn pair by pair before encoding, in the order
     hypothesis input, hypothesis output, premise input, premise output, so a
     seeded stream is read the same whatever the batch size. Eval mode is
-    deterministic and dropout-free. The encoders run one after the other on the
-    calling thread: at 32 to 64 rows a step a second thread gained nothing.
+    deterministic and dropout-free. The encoders run on the calling thread: a second
+    one sped biway steps up but slowed ensemble training in two processes.
     """
     enc = [fn(*args) for fn, args, _ in _encoder_passes(model, seqs, train, rng)]
     h_out = _softmax_input([e.h_final for e in enc])

@@ -13,7 +13,9 @@ from maxcosine.cli import (
     CONFIG_SCHEMA, CliError, build_parser, load_library, main, read_config_file,
 )
 from maxcosine.data import LABEL_NAMES, SentencePair, load_snli
-from maxcosine.embeddings import load_binary_format, load_text_format
+from maxcosine.embeddings import (
+    EmbeddingLibrary, load_binary_format, load_text_format, save_binary_format,
+)
 from maxcosine.ensemble import Ensemble, load_ensemble, predict_ensemble
 from maxcosine.numerics import make_rng
 
@@ -54,6 +56,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("epochs = x", "bad value for epochs: 'x'"),
     ("no_such_key = 1", "unknown config key: 'no_such_key'"),
     ("bi_embedding = true", "unknown config key: 'bi_embedding'"),  # follows embeddings2
+    ("embedding_format = text", "unknown config key: 'embedding_format'"),  # found from bytes
     ("epochs", "expected key=value, got 'epochs'"),
 ])
 def test_bad_config_file_line_names_its_location(workspace, capsys, line, message):
@@ -86,6 +89,15 @@ def test_bad_flag_value_is_a_usage_error(capsys, argv, message):
     assert err.endswith(f"error: {message}\n") and "Traceback" not in err
 
 
+def test_raw_cr_inside_a_config_line_does_not_split_it(tmp_path):
+    cfg = tmp_path / "cr.cfg"
+    cfg.write_bytes(b"# one\r# two\r\nepochs = 2\r\nk = 3\n")
+    assert read_config_file(cfg) == {"epochs": 2, "k": 3}
+    cfg.write_bytes(b"# one\r# two\nepochs = 2\r\nk = x\n")
+    with pytest.raises(CliError, match=re.escape(f"{cfg}:3: bad value for k: 'x'")):
+        read_config_file(cfg)
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nepochs=3\nbiway=true\ndropout_rate=0.4  # inline\n")
@@ -113,6 +125,26 @@ def test_embed_convert_round_trip(workspace, capsys):
     # one float32 rounding through the binary format
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-6
     assert load_binary_format(binary).vocab == a.vocab
+
+
+def test_word2vec_text_library_reads_as_without_its_header(tmp_path, capsys):
+    lines = ["cat 0.5 0.25", "dog 0.125 1.0", "bird 2.0 -1.0"]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("\n".join(lines) + "\n")
+    expected = load_library(plain)
+    assert main(["match", "a cat", "a dog", "--embeddings", str(plain)]) == 0
+    assert main(["embed-convert", str(plain), str(tmp_path / "plain.bin"), "--to", "binary"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for trailing, newline in (("", "\n"), (" ", "\n"), ("", "\r\n"), (" ", "\r\n")):
+        path = tmp_path / "w2v.txt"
+        path.write_bytes("".join(f"{line}{trailing}{newline}" for line in ["3 2", *lines]).encode())
+        lib = load_library(path)
+        assert lib.vocab == expected.vocab and lib.matrix.tobytes() == expected.matrix.tobytes()
+        assert main(["match", "a cat", "a dog", "--embeddings", str(path)]) == 0
+        assert main(["embed-convert", str(path), str(tmp_path / "w2v.bin"), "--to", "binary"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            *printed[:-1], printed[-1].replace("plain.bin", "w2v.bin")]
+        assert (tmp_path / "w2v.bin").read_bytes() == (tmp_path / "plain.bin").read_bytes()
 
 
 def test_embed_convert_rejects_unreadable_text_output(tmp_path, capsys):
@@ -170,7 +202,6 @@ BAD_TRAIN_SETTINGS = [
     (["--dropout-rate", "1.5"], "dropout_rate must be in [0, 1)"),
     (["--oov-window", "-1"], "oov_window must be >= 0"),
     (["--max-train-pairs", "0"], "max_pairs must be >= 1, got 0"),
-    (["--embedding-format", "bogus"], "unknown embedding format 'bogus'"),
 ]
 
 # settings only ensemble-train reads; each flag overrides the valid `--seeds 1,2` before it
@@ -206,7 +237,7 @@ def test_config_schema_keys_and_types():
         "batch_size": int, "epochs": int, "dropout_rate": float, "seed": int, "k": int,
         "biway": bool, "oov_window": int,
         "train_path": str, "val_path": str, "embeddings": str, "embeddings2": str,
-        "embedding_format": str, "out_dir": str, "workers": int, "seeds": str,
+        "out_dir": str, "workers": int, "seeds": str,
         "max_train_pairs": int, "max_val_pairs": int,
     }
 
@@ -224,13 +255,13 @@ def _flags(keys) -> set[str]:
 
 def test_each_command_takes_flags_for_the_keys_it_reads():
     got = _command_flags()
-    library = {"--config", "--embeddings", "--embeddings2", "--embedding-format"}
+    library = {"--config", "--embeddings", "--embeddings2"}
     assert got["eval"] == got["predict"] == library
     assert got["match"] == library | {"--oov-window"}
     assert got["train"] == {"--config"} | _flags(CONFIG_SCHEMA) - {"--seeds", "--workers"}
     assert got["ensemble-train"] == got["train"] - {"--seed"} | {"--seeds", "--workers"}
     counts = [len(got[name]) for name in ("train", "ensemble-train", "eval", "predict", "match")]
-    assert counts == [20, 21, 4, 4, 5] and sum(counts) == 54
+    assert counts == [19, 20, 3, 3, 4] and sum(counts) == 49
 
 
 @pytest.mark.parametrize("argv", [
@@ -276,20 +307,10 @@ def test_dataset_of_unknown_labels_has_no_usable_pairs(workspace, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "{missing}", "{missing}"], ["predict", "{missing}", "a", "b"], ["match", "a", "b"],
-])
-def test_library_commands_check_the_format_before_reading(tmp_path, capsys, argv):
-    missing = str(tmp_path / "missing")
-    argv = [a.format(missing=missing) for a in argv]
-    assert main([*argv, "--embeddings", missing, "--embedding-format", "bogus"]) == 1
-    assert capsys.readouterr().err == "error: unknown embedding format 'bogus'\n"
-
-
 def test_train_bi_embedding_follows_embeddings2(workspace, capsys):
     tmp_path, emb, data = workspace
-    emb2 = tmp_path / "emb2.txt"
-    emb2.write_text("w0 1.0 2.0\nzz 3.0 4.0\n")
+    emb2 = tmp_path / "emb2.bin"  # a binary library joined to a text one
+    save_binary_format(EmbeddingLibrary({"w0": 0, "zz": 1}, [[1.0, 2.0], [3.0, 4.0]]), emb2)
     for second, bi_embedding in (([], False), (["--embeddings2", str(emb2)], True)):
         out_dir = tmp_path / f"bi_embedding_{bi_embedding}"
         assert main(["train", "--embeddings", str(emb), *second, "--train-path", str(data),
@@ -311,7 +332,7 @@ def test_one_config_file_serves_every_command(workspace, capsys):
     values = {
         "learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "batch_size": 4,
         "epochs": 1, "dropout_rate": 0.1, "seed": 3, "k": 4, "biway": "true", "oov_window": 2, "train_path": data, "val_path": data,
-        "embeddings": emb, "embeddings2": emb2, "embedding_format": "text", "out_dir": out_dir,
+        "embeddings": emb, "embeddings2": emb2, "out_dir": out_dir,
         "workers": 1, "seeds": "1,2", "max_train_pairs": 6, "max_val_pairs": 6,
     }
     assert values.keys() == CONFIG_SCHEMA.keys()

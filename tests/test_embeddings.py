@@ -15,6 +15,7 @@ from maxcosine.embeddings import (
     EmbeddingLibrary,
     concat_libraries,
     embed_sentence,
+    is_binary_format,
     load_binary_format,
     load_text_format,
     save_binary_format,
@@ -82,6 +83,38 @@ class TestTextFormat:
         path = tmp_path / "e.txt"
         path.write_bytes(b"cat 1.0 2.0\n\xff\xfe 3.0 4.0\n")
         with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}:2: not valid UTF-8")):
+            load_text_format(path)
+
+    @pytest.mark.parametrize("trailing", ["", " "], ids=["bare", "trailing-space"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_header_line_is_skipped(self, tmp_path, trailing, newline):
+        path = tmp_path / "w2v.txt"
+        path.write_bytes(word2vec_text(trailing=trailing, newline=newline))
+        lib = load_text_format(path)
+        plain = load_text_format(write(tmp_path / "plain.txt", "\n".join(WORD2VEC_LINES)))
+        assert lib.vocab == plain.vocab and lib.matrix.tobytes() == plain.matrix.tobytes()
+
+    def test_error_after_a_header_counts_the_header_line(self, tmp_path):
+        path = write(tmp_path / "e.txt", "3 2\ncat 0.5 0.25\ndog 0.125\n")
+        with pytest.raises(EmbeddingFormatError, match=re.escape(
+                f"{path}:3: inconsistent dimension 1 (expected 2)")):
+            load_text_format(path)
+
+    def test_header_of_dimension_zero(self, tmp_path):
+        path = write(tmp_path / "e.txt", "3 0\n1.5\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=re.escape(f"{path}:2: no vector components")):
+            load_text_format(path)
+
+    def test_raw_cr_inside_a_line_does_not_split_it(self, tmp_path):
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"a 1.0 2.0\nb\r1.0 2.0\nx\ry 3.0 4.0\n")
+        lib = load_text_format(path)
+        assert lib.words() == ["a", "b", "x\ry"]
+        assert np.array_equal(lib.vector("x\ry"), [3.0, 4.0])
+        path.write_bytes(b"a 1.0 2.0\nb\r1.0 2.0\nc 1.0\n")
+        with pytest.raises(EmbeddingFormatError, match=re.escape(
+                f"{path}:3: inconsistent dimension 1 (expected 2)")):
             load_text_format(path)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -253,6 +286,49 @@ class TestBinaryFormat:
         with pytest.raises(EmbeddingFormatError, match="space"):
             save_binary_format(lib, tmp_path / "out.bin")
         assert not (tmp_path / "out.bin").exists()
+
+
+# a word2vec/fastText text library: these GloVe lines after a `|V| d` header
+WORD2VEC_LINES = ["cat 0.5 0.25", "dog 0.125 1.0", "bird 2.0 -1.0"]
+
+
+def word2vec_text(trailing="", newline="\n") -> bytes:
+    return "".join(line + trailing + newline for line in ["3 2", *WORD2VEC_LINES]).encode()
+
+
+def binary_records(header: bytes) -> bytes:
+    return header + b"".join(w.encode() + b" " + struct.pack("<2f", 1.0, -2.0) + b"\n"
+                             for w in ("cat", "dog", "bird"))
+
+
+class TestFormatDetection:
+    @pytest.mark.parametrize("body, binary", [
+        pytest.param("\n".join(WORD2VEC_LINES).encode(), False, id="glove"),
+        pytest.param(word2vec_text(), False, id="word2vec-text"),
+        pytest.param(word2vec_text(trailing=" "), False, id="word2vec-text-trailing-space"),
+        pytest.param(word2vec_text(newline="\r\n"), False, id="word2vec-text-crlf"),
+        pytest.param(word2vec_text(trailing=" ", newline="\r\n"), False,
+                     id="word2vec-text-trailing-space-crlf"),
+        pytest.param(b"3 2\n\xff\xfe 0.5 0.25\n", True, id="not-utf8-after-header"),
+        pytest.param(b"3 2\ncat 0.5\n", True, id="too-few-numbers-after-header"),
+        pytest.param(binary_records(b"3 2\n"), True, id="binary"),
+        pytest.param(binary_records(b"3 2 \n"), True, id="binary-header-trailing-space"),
+        pytest.param(binary_records(b"3 2\r\n"), True, id="binary-header-crlf"),
+        pytest.param(b"", False, id="empty"),
+    ])
+    def test_format_of_each_layout(self, tmp_path, body, binary):
+        path = tmp_path / "library"
+        path.write_bytes(body)
+        assert is_binary_format(path) is binary
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_saved_binary_files_read_as_binary(self, tmp_path, dim):
+        rng = make_rng(dim)
+        words = [f"w{i}" for i in range(20)]
+        for matrix in (rng.standard_normal((20, dim)), np.zeros((20, dim)), np.ones((20, dim))):
+            lib = EmbeddingLibrary({w: i for i, w in enumerate(words)}, matrix)
+            save_binary_format(lib, tmp_path / "out.bin")
+            assert is_binary_format(tmp_path / "out.bin")
 
 
 # the pieces a record's word is drawn from: ASCII, non-ASCII, invalid UTF-8 (a lone
