@@ -72,7 +72,8 @@ def load_text_format(path) -> EmbeddingLibrary:
     dupes = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if lineno == 1 and (dim := _header_dim(raw)) is not None:
+            if lineno == 1 and (header := _header(raw)) is not None:
+                dim = header[1]
                 continue
             try:
                 line = raw.decode("utf-8")
@@ -169,24 +170,27 @@ def save_text_format(lib: EmbeddingLibrary, path) -> None:
 # 4.3 MiB lower than with 1 MiB blocks, which took 92-96 ms (2 vCPUs, 15 loads).
 _BLOCK = 1 << 16
 _HEADER_MAX = 1 << 10
-_LINE_MAX = 1 << 20  # bytes `is_binary_format` reads of the line after a header
+_LINE_MAX = 1 << 20  # bytes `is_binary_format` reads of a line after a header
 
 
-def _header_dim(line: bytes) -> Optional[int]:
-    """d of a `|V| d` header line, two fields of ASCII digits; None for any other line."""
+def _header(line: bytes) -> Optional[tuple[int, int]]:
+    """(|V|, d) of a `|V| d` header line, two fields of ASCII digits; None for any other line."""
     fields = line.split()  # never an empty field, so the join is digits only if both are
-    return int(fields[1]) if len(fields) == 2 and b"".join(fields).isdigit() else None
+    return tuple(map(int, fields)) if len(fields) == 2 and b"".join(fields).isdigit() else None
 
 
 def is_binary_format(path) -> bool:
-    """Whether `path` holds the binary format rather than text, from its first two
-    lines: a `|V| d` header, then a line that is not UTF-8 ending in d numbers,
+    """Whether `path` holds the binary format rather than text: a `|V| d` header,
+    then, past any blank lines, a line that is not UTF-8 ending in d numbers,
     which is how `load_text_format` would split it after the same header."""
     with open(path, "rb") as fh:
-        dim = _header_dim(fh.readline(_HEADER_MAX))
+        header = _header(fh.readline(_HEADER_MAX))
         line = fh.readline(_LINE_MAX)
-    if dim is None:
+        while header and line and not line.decode("utf-8", "replace").split():
+            line = fh.readline(_LINE_MAX)
+    if header is None:
         return False
+    dim = header[1]
     try:
         fields = line.decode("utf-8").split()
     except UnicodeDecodeError:
@@ -247,12 +251,10 @@ def load_binary_format(path) -> EmbeddingLibrary:
         header = fh.readline(_HEADER_MAX)
         if not header.endswith(b"\n"):
             raise EmbeddingFormatError(f"{path}: truncated header")
-        header = header[:-1]
-        try:
-            count_s, dim_s = header.split()
-            count, dim = int(count_s), int(dim_s)
-        except ValueError:
-            raise EmbeddingFormatError(f"{path}: malformed header {header!r}") from None
+        parsed = _header(header)
+        if parsed is None:
+            raise EmbeddingFormatError(f"{path}: malformed header {header[:-1]!r}")
+        count, dim = parsed
         if count < 1 or dim < 1:
             raise EmbeddingFormatError(f"{path}: bad header counts {count} {dim}")
         # a record is at least a space and 4*dim bytes; check before allocating

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -15,7 +16,7 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, augment_pair, check_library_dim, forward_members
+from .model import Model, augment_pair, forward_members
 from .training import TrainConfig, TrainResult, train
 
 
@@ -49,24 +50,18 @@ def train_ensemble(
     its seed, so runs may execute in parallel without changing the result."""
     if len(set(seeds)) != len(seeds):
         raise ValueError("ensemble seeds must be pairwise distinct")
-    jobs = [
-        (dataclasses.replace(config, seed=s), train_pairs, val_pairs, lib,
-         str(Path(metrics_dir) / f"metrics_seed{s}.tsv") if metrics_dir else None)
-        for s in seeds
-    ]
+    configs = [dataclasses.replace(config, seed=s) for s in seeds]
+    metrics = [str(Path(metrics_dir) / f"metrics_seed{s}.tsv") if metrics_dir else None
+               for s in seeds]
+    columns = (repeat(train_pairs), repeat(val_pairs), configs, repeat(lib), metrics)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing, ~1 MiB
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_train_member, jobs))
+            results = list(pool.map(train, *columns))
     else:
-        results = [_train_member(job) for job in jobs]
+        results = list(map(train, *columns))
     return Ensemble(members=[r.best_model for r in results]), results
-
-
-def _train_member(job) -> TrainResult:
-    member_config, train_pairs, val_pairs, lib, metrics_path = job
-    return train(train_pairs, val_pairs, member_config, lib, metrics_path=metrics_path)
 
 
 def predict_ensemble(
@@ -79,7 +74,6 @@ def predict_ensemble(
     run as one set of independent passes.
     """
     config = ensemble.members[0].config
-    check_library_dim(config, lib)
     mean = forward_members(ensemble.members, [augment_pair(pair, lib, config)])[0]
     return mean, int(np.argmax(mean)) + 1
 

@@ -11,6 +11,7 @@ from .embeddings import EmbeddingLibrary
 from .matching import index_pairs
 from .model import Model, backward, forward_batch
 from .numerics import gradient_check
+from .training import cross_entropy
 
 
 def model_gradient_check(
@@ -33,11 +34,7 @@ def model_gradient_check(
     seqs_ld = [tuple(Z.astype(np.longdouble) for Z in seq) for seq in seqs]
 
     def objective(theta: np.ndarray) -> float:
-        probs, _ = forward_batch(Model(model.config, theta), seqs_ld)
-        total = np.longdouble(0.0)
-        for row, gold in zip(probs, labels):
-            total -= np.log(row[gold - 1])
-        return total / len(labels)
+        return cross_entropy(forward_batch(Model(model.config, theta), seqs_ld)[0], labels)
 
     _, trace = forward_batch(model, seqs)
     analytic = backward(model, trace, labels).flat / len(seqs)

@@ -73,7 +73,12 @@ def index_pairs(
 ) -> PairIndex:
     """The matching of `pairs` that a model of `config` reads: every sentence
     resolved into one row table at its OOV window, and each pair matched, in
-    both directions when biway."""
+    both directions when biway. A library whose vectors are not the model's
+    `embedding_dim` wide is refused."""
+    if lib.dim != config.embedding_dim:
+        raise ValueError(
+            f"library dimension {lib.dim} != checkpoint embedding_dim {config.embedding_dim}"
+        )
     resolved = RowTable(lib, config.oov_window)
     sentences = []
     for pair in pairs:

@@ -200,14 +200,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     return model
 
 
-def check_library_dim(config: ModelConfig, lib: EmbeddingLibrary) -> None:
-    """Reject a library whose vectors do not have the model's embedding width."""
-    if lib.dim != config.embedding_dim:
-        raise ValueError(
-            f"library dimension {lib.dim} != checkpoint embedding_dim {config.embedding_dim}"
-        )
-
-
 def dropout_mask(rng: np.random.Generator, size, rate: float) -> np.ndarray:
     """Inverted-dropout mask of shape `size`: entries are 0 or 1/(1-rate)."""
     return (rng.random(size) >= rate) / (1.0 - rate)

@@ -41,8 +41,6 @@ def tanh_grad(t):
 def softmax(p: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     p = np.asarray(p)
-    if not np.issubdtype(p.dtype, np.floating):
-        p = p.astype(np.float64)
     e = np.exp(p - p.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -17,7 +17,6 @@ from .model import (
     ModelConfig,
     Params,
     backward,
-    check_library_dim,
     forward_batch,
     forward_members,
     init_model,
@@ -72,22 +71,19 @@ class TrainConfig:
 
 
 def pair_losses(probabilities: np.ndarray, gold: Sequence[int]) -> np.ndarray:
-    """(B,) loss of each row of a (B, 3) batch, each bitwise what cross_entropy
-    gives for that pair alone: 0.0 - log, so that a certain gold label costs +0.0."""
+    """(B,) loss of each row of a (B, 3) batch: minus the log of its gold label's
+    probability floored at `LOG_FLOOR`, as 0.0 - log, so a certain label costs +0.0."""
     p = probabilities[np.arange(len(gold)), np.asarray(gold) - 1]
     return 0.0 - np.log(np.maximum(p, LOG_FLOOR))
 
 
 def cross_entropy(probabilities: Sequence[np.ndarray], gold: Sequence[int]) -> float:
-    """Mean negative log-probability of the gold label over the batch."""
+    """Mean of `pair_losses` over the batch."""
     if len(probabilities) == 0:
         raise ValueError("empty batch")
     if len(probabilities) != len(gold):
         raise ValueError("batch size mismatch between predictions and labels")
-    total = 0.0
-    for probs, label in zip(probabilities, gold):
-        total -= np.log(max(probs[label - 1], LOG_FLOOR))
-    return total / len(probabilities)
+    return pair_losses(np.asarray(probabilities), gold).sum() / len(gold)
 
 
 ADAM_CHUNK = 1 << 15  # values updated at a time: a chunk's arrays, 256 KiB each, stay in L2
@@ -162,7 +158,6 @@ def evaluate(
     call, so a model scores as a one-member ensemble and an ensemble by the
     mean of its members' probabilities."""
     members = [model] if isinstance(model, Model) else model.members
-    check_library_dim(members[0].config, lib)
     if index is None:
         index = index_pairs(pairs, lib, members[0].config)
     confusion = np.zeros((3, 3), dtype=np.int64)

@@ -93,11 +93,10 @@ def load_binary_oracle(path) -> EmbeddingLibrary:
             if b == b"\n":
                 break
             header += b
-        try:
-            count_s, dim_s = header.split()
-            count, dim = int(count_s), int(dim_s)
-        except ValueError:
-            raise EmbeddingFormatError(f"{path}: malformed header {bytes(header)!r}") from None
+        fields = bytes(header).split()
+        if len(fields) != 2 or not all(f.isdigit() for f in fields):
+            raise EmbeddingFormatError(f"{path}: malformed header {bytes(header)!r}")
+        count, dim = int(fields[0]), int(fields[1])
         if count < 1 or dim < 1:
             raise EmbeddingFormatError(f"{path}: bad header counts {count} {dim}")
         # a record is at least a space and 4*dim bytes; check before allocating

@@ -135,9 +135,11 @@ def test_word2vec_text_library_reads_as_without_its_header(tmp_path, capsys):
     assert main(["match", "a cat", "a dog", "--embeddings", str(plain)]) == 0
     assert main(["embed-convert", str(plain), str(tmp_path / "plain.bin"), "--to", "binary"]) == 0
     printed = capsys.readouterr().out.splitlines()
-    for trailing, newline in (("", "\n"), (" ", "\n"), ("", "\r\n"), (" ", "\r\n")):
+    for trailing, newline, blank in (("", "\n", []), (" ", "\n", []), ("", "\r\n", []),
+                                     (" ", "\r\n", []), ("", "\n", [""]), (" ", "\r\n", ["", ""])):
         path = tmp_path / "w2v.txt"
-        path.write_bytes("".join(f"{line}{trailing}{newline}" for line in ["3 2", *lines]).encode())
+        path.write_bytes("".join(f"{line}{trailing}{newline}"
+                                 for line in ["3 2", *blank, *lines]).encode())
         lib = load_library(path)
         assert lib.vocab == expected.vocab and lib.matrix.tobytes() == expected.matrix.tobytes()
         assert main(["match", "a cat", "a dog", "--embeddings", str(path)]) == 0

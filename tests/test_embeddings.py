@@ -228,6 +228,14 @@ class TestBinaryFormat:
                            match=re.escape(f"{path}: bad header counts {header}")):
             load_binary_format(path)
 
+    @pytest.mark.parametrize("header", [b"+3 2", b"1_0 2", b"-1 2", b"3", b"3 2 1", b"3 \xd9\xa2"])
+    def test_header_not_two_digit_fields(self, tmp_path, header):
+        path = tmp_path / "e.bin"
+        path.write_bytes(header + b"\nw " + struct.pack("<2f", 1.0, 2.0))
+        with pytest.raises(EmbeddingFormatError,
+                           match=re.escape(f"{path}: malformed header {header!r}")):
+            load_binary_format(path)
+
     def test_header_count_beyond_file_size(self, tmp_path):
         path = tmp_path / "e.bin"
         path.write_bytes(b"1000000000000 300\nw " + struct.pack("<300f", *range(300)))
@@ -309,6 +317,11 @@ class TestFormatDetection:
         pytest.param(word2vec_text(newline="\r\n"), False, id="word2vec-text-crlf"),
         pytest.param(word2vec_text(trailing=" ", newline="\r\n"), False,
                      id="word2vec-text-trailing-space-crlf"),
+        pytest.param(b"3 2\n\n" + "\n".join(WORD2VEC_LINES).encode(), False,
+                     id="word2vec-text-blank-line-after-header"),
+        pytest.param(("3 2\n\x1c\u2028\n" + "\n".join(WORD2VEC_LINES)).encode(), False,
+                     id="word2vec-text-unicode-blank-line-after-header"),
+        pytest.param(b"3 2\n \r\n\n", True, id="only-blank-lines-after-header"),
         pytest.param(b"3 2\n\xff\xfe 0.5 0.25\n", True, id="not-utf8-after-header"),
         pytest.param(b"3 2\ncat 0.5\n", True, id="too-few-numbers-after-header"),
         pytest.param(binary_records(b"3 2\n"), True, id="binary"),

@@ -216,6 +216,19 @@ def confusion_of(pairs, labels):
     return confusion
 
 
+@pytest.mark.parametrize("caller", ["forward", "predict_ensemble", "evaluate"])
+def test_library_of_another_width_is_refused(caller):
+    lib, pairs = setup(n_pairs=2)
+    model = init_model(quick_config(biway=True).model_config(lib.dim + 2), make_rng(0))
+    score = {
+        "forward": lambda: forward(model, pairs[0], lib),
+        "predict_ensemble": lambda: predict_ensemble(Ensemble([model]), pairs[0], lib),
+        "evaluate": lambda: evaluate(pairs, model, lib),
+    }[caller]
+    with pytest.raises(ValueError, match=r"^library dimension 8 != checkpoint embedding_dim 10$"):
+        score()
+
+
 class TestOneEvaluationPath:
     GROUPS = {"base": (False, (1,)), "biway": (True, (1,)), "biway_x3": (True, (1, 2, 3))}
 

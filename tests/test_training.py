@@ -23,6 +23,7 @@ from maxcosine import matching, model as model_module, training
 from maxcosine.model import Model, ModelConfig, augment_pair, dropout_mask, init_model
 from maxcosine.numerics import make_rng
 from maxcosine.training import (
+    LOG_FLOOR,
     AdamState,
     DivergenceError,
     TrainConfig,
@@ -64,11 +65,11 @@ class TestCrossEntropy:
         st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-320, np.nan])),
                  min_size=3, max_size=3),
         st.integers(1, 3)), min_size=1, max_size=20))
-    def test_pair_losses_equal_cross_entropy_of_each_pair(self, rows):
+    def test_pair_losses_equal_a_per_row_reference(self, rows):
         probs = np.array([p for p, _ in rows])
         gold = [label for _, label in rows]
         got = pair_losses(probs, gold)
-        want = np.array([cross_entropy([p], [label]) for p, label in zip(probs, gold)])
+        want = np.array([0.0 - np.log(max(p[label - 1], LOG_FLOOR)) for p, label in rows])
         assert got.tobytes() == want.tobytes()  # a certain label costs +0.0, not -0.0
 
 
@@ -455,6 +456,30 @@ def run_fresh(script: str) -> subprocess.CompletedProcess:
            "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True, timeout=300)
+
+
+# The best theta of a small biway run with dropout, as hex of its bytes.
+BEST_THETA_OF_A_RUN = """
+from helpers import random_library, random_pairs
+from maxcosine.numerics import make_rng
+from maxcosine.training import TrainConfig, train
+
+rng = make_rng(600)
+lib = random_library(rng, n_words=20, dim=8)
+pairs = random_pairs(rng, lib, 12)
+config = TrainConfig(k=8, batch_size=4, epochs=2, dropout_rate=0.3, biway=True, seed=600)
+print(train(pairs, pairs[:4], config, lib).best_model.theta.tobytes().hex())
+"""
+
+
+def test_runs_in_separate_processes_give_identical_checkpoints(monkeypatch):
+    """Two interpreters whose string hashing differs train to the same bytes, as
+    the README promises of identical runs, not only two runs in one process."""
+    runs = []
+    for hash_seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        runs.append(run_fresh(BEST_THETA_OF_A_RUN).stdout)
+    assert runs[0] == runs[1] and len(runs[0]) > 1
 
 
 # Biway ensemble passes on the caller and one helper thread, then glibc's
