@@ -177,11 +177,8 @@ def cmd_train(args) -> int:
 
 def _load_group(path) -> ens.Ensemble:
     """An ensemble manifest, or a checkpoint as a one-member ensemble."""
-    try:
-        with open(path, "rb") as fh:
-            is_manifest = fh.read(1) == b"{"
-    except OSError:
-        is_manifest = False
+    with open(path, "rb") as fh:
+        is_manifest = fh.read(1) == b"{"
     if is_manifest:
         return ens.load_ensemble(path)
     return ens.Ensemble([ckpt.load_checkpoint(path)])

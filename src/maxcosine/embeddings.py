@@ -58,14 +58,27 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def load_text_format(path) -> EmbeddingLibrary:
-    """Load `word v1 v2 ... vd` lines, each ended by LF; first occurrence of a word wins.
+def _split_text_line(line: str, dim: Optional[int]) -> tuple[str, list[str]]:
+    """The word and vector fields of a text line, ("", []) if blank. With `dim` None
+    (the first line) a whitespace split gives both. Else the last `dim` fields are
+    the vector and the stripped rest is the word, which must not end in a number."""
+    parts = line.split() if dim is None else line.rsplit(maxsplit=dim)
+    if not parts:
+        return "", []
+    word, fields = parts[0].strip(), parts[1:]
+    head = word.split()
+    if dim is not None and (len(fields) != dim or (len(head) > 1 and _is_number(head[-1]))):
+        raise ValueError(f"inconsistent dimension {len(head) - 1 + len(fields)} (expected {dim})")
+    if not fields:
+        raise ValueError("no vector components")
+    return word, fields
 
-    A `|V| d` header, a first line of two ASCII-digit fields, fixes d and is skipped
-    (`|V|` is not checked); else the first line fixes d. After it a word may contain
-    spaces (840B GloVe has `. . .`): each line's last d fields are the vector and the
-    rest is the word, unless the rest ends in a number, which makes the line one of
-    surplus components. Every component of a kept line must be finite."""
+
+def load_text_format(path) -> EmbeddingLibrary:
+    """Load `word v1 v2 ... vd` lines, each ended by LF and split by `_split_text_line`
+    (a later word may hold spaces: 840B GloVe has `. . .`); first occurrence of a
+    word wins. A `|V| d` header, a first line of two ASCII-digit fields, fixes d and
+    is skipped (`|V|` is not checked). Every component of a kept line must be finite."""
     vocab: dict[str, int] = {}
     rows: list[np.ndarray] = []
     dim = None
@@ -76,24 +89,14 @@ def load_text_format(path) -> EmbeddingLibrary:
                 dim = header[1]
                 continue
             try:
-                line = raw.decode("utf-8")
+                word, fields = _split_text_line(raw.decode("utf-8"), dim)
             except UnicodeDecodeError:
                 raise EmbeddingFormatError(f"{path}:{lineno}: not valid UTF-8") from None
-            parts = line.split() if dim is None else line.rsplit(maxsplit=dim)
-            if not parts:
+            except ValueError as exc:
+                raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
+            if not fields:
                 continue
-            word, fields = parts[0].strip(), parts[1:]
-            if dim is None:
-                dim = len(fields)
-            else:
-                head = word.split()
-                if len(fields) != dim or (len(head) > 1 and _is_number(head[-1])):
-                    raise EmbeddingFormatError(
-                        f"{path}:{lineno}: inconsistent dimension "
-                        f"{len(head) - 1 + len(fields)} (expected {dim})"
-                    )
-            if dim == 0:
-                raise EmbeddingFormatError(f"{path}:{lineno}: no vector components")
+            dim = len(fields)
             if word in vocab:
                 dupes += 1
                 continue
@@ -110,26 +113,25 @@ def load_text_format(path) -> EmbeddingLibrary:
     return EmbeddingLibrary(vocab, np.vstack(rows), duplicates_dropped=dupes)
 
 
-def _text_unreadable(word: str, first: bool) -> Optional[str]:
-    """Why `load_text_format` would not read `word` back from a saved line, or None.
-
-    The first line fixes d by a plain whitespace split. A later line splits its
-    last d fields off and strips the rest, which must not end in a number. A CR is
-    refused, though the loader keeps one inside a later word: other readers end lines at it."""
+def _text_unsaveable(word: str, line: str, dim: Optional[int]) -> Optional[str]:
+    """Why `load_text_format` would not read `word` back from `line`, split with
+    `dim` as `_split_text_line` splits it, or None. A CR or LF is refused
+    outright: the loader ends lines at LF, and other readers end them at CR."""
+    if "\n" in word or "\r" in word:
+        return "it holds a line break"
     try:
         word.encode("utf-8")
+        back, _ = _split_text_line(line, dim)
     except UnicodeEncodeError:
-        return "is not encodable as UTF-8"
-    if first:
-        return None if word.split() == [word] else "is empty or holds whitespace"
-    if "\n" in word or "\r" in word:
-        return "holds a line break"
-    if not word or word != word.strip():
-        return "is empty or has leading or trailing whitespace"
-    pieces = word.split()
-    if len(pieces) > 1 and _is_number(pieces[-1]):
-        return "ends in a number after whitespace"
-    return None
+        return "it is not encodable as UTF-8"
+    except ValueError as exc:
+        return f"the loader would refuse its line: {exc}"
+    return None if back == word else f"the loader would read its line as word {back!r}"
+
+
+def _text_fields(row: np.ndarray) -> str:
+    """A vector as the text format saves it, each component one field after a space."""
+    return "".join(" " + repr(float(v)) for v in row)
 
 
 def _refuse_non_finite(path, fmt: str, words: list[str], values: np.ndarray) -> None:
@@ -138,10 +140,8 @@ def _refuse_non_finite(path, fmt: str, words: list[str], values: np.ndarray) -> 
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise EmbeddingFormatError(
-            f"{path}: the {fmt} format cannot hold word {i + 1}, {words[i]!r}: "
-            "its vector is not finite"
-        )
+        raise EmbeddingFormatError(f"{path}: the {fmt} format cannot hold word {i + 1}, "
+                                   f"{words[i]!r}: its vector is not finite")
 
 
 def save_text_format(lib: EmbeddingLibrary, path) -> None:
@@ -149,18 +149,19 @@ def save_text_format(lib: EmbeddingLibrary, path) -> None:
     back as the same word, or a non-finite vector, raises before the file is
     opened."""
     words = lib.words()
+    # a later line splits by its count of fields alone, so the first line's serve all
+    fields = _text_fields(lib.matrix[0])
     for i, word in enumerate(words):
-        why = _text_unreadable(word, first=i == 0)
+        why = _text_unsaveable(word, word + fields, None if i == 0 else lib.dim)
         if why is not None:
-            raise EmbeddingFormatError(
-                f"{path}: the text format cannot hold word {i + 1}, {word!r}: it {why}"
-            )
+            raise EmbeddingFormatError(f"{path}: the text format cannot hold word {i + 1}, "
+                                       f"{word!r}: {why}")
     _refuse_non_finite(path, "text", words, lib.matrix)
     from .checkpoint import atomic_write  # checkpoint imports model, which imports this module
 
     with atomic_write(path) as fh:
         for word, row in zip(words, lib.matrix):
-            fh.write((word + " " + " ".join(repr(float(v)) for v in row) + "\n").encode("utf-8"))
+            fh.write((word + _text_fields(row) + "\n").encode("utf-8"))
 
 
 # Bytes read at a time; the buffer grows past it only for a longer record. A block's
@@ -198,7 +199,10 @@ def is_binary_format(path) -> bool:
     return not (len(fields) > dim and all(map(_is_number, fields[-dim:])))
 
 
-def _decode(path, raw: bytes, n: int) -> str:
+def _word(path, raw: bytes, n: int) -> str:
+    """The word of record `n`: an LF in it is an error, invalid UTF-8 a warning."""
+    if b"\n" in raw:
+        raise EmbeddingFormatError(f"{path}: LF in the word of record {n}")
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -215,9 +219,10 @@ def _add_block(path, vocab: dict[str, int], raw_words: list, vectors: list, rows
         return 0
     n = len(vocab)
     block = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(len(vectors), -1)
+    joined = b" ".join(raw_words)
     try:
         # a word holds no space, so one decode of the joined words splits back exactly
-        words = b" ".join(raw_words).decode("utf-8").split(" ")
+        words = [] if b"\n" in joined else joined.decode("utf-8").split(" ")
     except UnicodeDecodeError:
         words = []
     new = dict(zip(words, range(n, n + len(words))))
@@ -229,7 +234,7 @@ def _add_block(path, vocab: dict[str, int], raw_words: list, vectors: list, rows
     finite = np.isfinite(block).all(axis=1)
     kept = []
     for i, raw in enumerate(raw_words):
-        word = _decode(path, raw, first + i)
+        word = _word(path, raw, first + i)
         if word not in vocab:
             if not finite[i]:
                 raise EmbeddingFormatError(
@@ -242,7 +247,8 @@ def _add_block(path, vocab: dict[str, int], raw_words: list, vectors: list, rows
 
 
 def load_binary_format(path) -> EmbeddingLibrary:
-    """Load the `|V| d\\n` header + (word SP d*float32-LE [LF]) record format.
+    """Load the `|V| d\\n` header + (word SP d*float32-LE [LF]) record format; a
+    word holds no space and no LF, so an LF in one is an error.
 
     The header line may be at most `_HEADER_MAX` bytes long. The records are read
     in blocks of `_BLOCK` bytes, never the whole file at once. Messages number
@@ -282,7 +288,7 @@ def load_binary_format(path) -> EmbeddingLibrary:
                 if eof:
                     if sp < 0:
                         raise EmbeddingFormatError(f"{path}: truncated at record {record}")
-                    _decode(path, buf[pos:sp], record)  # a bad word warns before its vector
+                    _word(path, buf[pos:sp], record)  # a bad word fails or warns first
                     raise EmbeddingFormatError(f"{path}: truncated vector at record {record}")
                 more = fh.read(max(_BLOCK, len(buf) - pos))
                 buf, pos, eof = buf[pos:] + more, 0, not more
@@ -296,15 +302,13 @@ def load_binary_format(path) -> EmbeddingLibrary:
 
 
 def save_binary_format(lib: EmbeddingLibrary, path) -> None:
-    """Write the header and one record per word atomically; a word with a space,
-    or a vector not finite in float32, raises before the file is opened."""
+    """Write the header and one record per word atomically; a word with a space
+    or an LF, or a vector not finite in float32, raises before the file is opened."""
     words = lib.words()
-    spaced = next((w for w in words if " " in w), None)
-    if spaced is not None:
-        # the loader ends a word at its first space
-        raise EmbeddingFormatError(
-            f"{path}: the binary format cannot hold a word with a space: {spaced!r}"
-        )
+    for i, word in enumerate(words):
+        if " " in word or "\n" in word:  # the loader ends a word at a space, refuses an LF
+            raise EmbeddingFormatError(f"{path}: the binary format cannot hold word "
+                                       f"{i + 1}, {word!r}: it holds a space or LF")
     with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
         values = lib.matrix.astype("<f4")
     _refuse_non_finite(path, "binary", words, values)

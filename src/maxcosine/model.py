@@ -476,15 +476,14 @@ _keep_freed_memory()
 def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
     """`fn(*args)` of every `(fn, args, cost)` job, in job order.
 
-    The jobs must not read each other's outputs. The calling thread and up to
-    `_WORKERS` helper threads, started for this call and joined before it
-    returns, take them costliest first from one queue, and each runs whole on
-    one thread on its own arrays, so every result is computed exactly as a
-    serial loop computes it. Once all jobs have ended, the first error in job
-    order is raised.
+    The jobs must not read each other's outputs. With `_WORKERS` set and two or
+    more jobs, the calling thread and one helper thread, started for this call
+    and joined before it returns, take them costliest first from one queue, and
+    each runs whole on one thread on its own arrays, so every result is computed
+    exactly as a serial loop computes it. Once all jobs have ended, the first
+    error in job order is raised.
     """
-    helpers = min(_WORKERS, len(jobs) - 1)
-    if helpers <= 0:
+    if not _WORKERS or len(jobs) < 2:
         return [fn(*args) for fn, args, _ in jobs]
     # sorted() is stable, so equal costs keep job order
     todo = deque(sorted(range(len(jobs)), key=lambda j: -jobs[j][2]))
@@ -503,16 +502,12 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
             except BaseException as exc:  # raised below, once no job is running
                 errors[j] = exc
 
-    threads: list[threading.Thread] = []
+    helper = threading.Thread(target=drain, name="maxcosine-pass")
+    helper.start()
     try:
-        for _ in range(helpers):
-            thread = threading.Thread(target=drain, name="maxcosine-pass")
-            thread.start()
-            threads.append(thread)
         drain()
     finally:
-        for thread in threads:
-            thread.join()
+        helper.join()
     error = next((e for e in errors if e is not None), None)
     if error is not None:
         raise error

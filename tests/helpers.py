@@ -119,6 +119,8 @@ def load_binary_oracle(path) -> EmbeddingLibrary:
                 if b == b" ":
                     break
                 word_bytes += b
+            if b"\n" in word_bytes:
+                raise EmbeddingFormatError(f"{path}: LF in the word of record {record}")
             try:
                 word = word_bytes.decode("utf-8")
             except UnicodeDecodeError:

@@ -10,7 +10,8 @@ import pytest
 
 from maxcosine.checkpoint import load_checkpoint
 from maxcosine.cli import (
-    CONFIG_SCHEMA, CliError, build_parser, load_library, main, read_config_file,
+    CONFIG_SCHEMA, CliError, _train_setup, build_parser, load_library, main, read_config_file,
+    resolve_config,
 )
 from maxcosine.data import LABEL_NAMES, SentencePair, load_snli
 from maxcosine.embeddings import (
@@ -98,11 +99,21 @@ def test_raw_cr_inside_a_config_line_does_not_split_it(tmp_path):
         read_config_file(cfg)
 
 
-def test_config_file_parsing(tmp_path):
+def test_config_file_parsing(workspace):
+    tmp_path, emb, data = workspace
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nepochs=3\nbiway=true\ndropout_rate=0.4  # inline\n")
     parsed = read_config_file(cfg)
     assert parsed == {"epochs": 3, "biway": True, "dropout_rate": 0.4}
+    # each spelling, in a file and as a flag, reaches TrainConfig as its boolean
+    paths = ["--embeddings", str(emb), "--train-path", str(data), "--val-path", str(data),
+             "--out-dir", str(tmp_path / "run")]
+    for spelling, value in [("0", False), ("false", False), ("no", False), ("off", False),
+                            ("FALSE", False), ("TRUE", True)]:
+        cfg.write_text(f"biway = {spelling}\n")
+        for flags in (["--config", str(cfg)], ["--biway", spelling]):
+            args = build_parser().parse_args(["train", *paths, *flags])
+            assert _train_setup(resolve_config(args))[0].biway is value, (spelling, flags)
 
 
 def test_load_library_logs_counts(tmp_path, caplog):
@@ -421,6 +432,15 @@ def test_eval_dimension_mismatch_fails(workspace, tmp_path, capsys):
     rc = main(["eval", str(out_dir / "model.ckpt"), str(data), "--embeddings", str(wrong_emb)])
     assert rc == 1
     assert "dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_missing_checkpoint_fails(workspace, capsys, command):
+    tmp_path, emb, data = workspace
+    missing = tmp_path / "missing.ckpt"
+    rest = [str(data)] if command == "eval" else ["w0 w1", "w2"]
+    assert main([command, str(missing), *rest, "--embeddings", str(emb)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_eval_bad_manifest_fails(workspace, capsys):

@@ -295,6 +295,24 @@ class TestBinaryFormat:
             save_binary_format(lib, tmp_path / "out.bin")
         assert not (tmp_path / "out.bin").exists()
 
+    @pytest.mark.parametrize("word", ["a\nb", "\nx"])
+    def test_save_rejects_word_with_lf(self, tmp_path, word):
+        lib = EmbeddingLibrary({"a": 0, word: 1}, np.ones((2, 2)))
+        path = tmp_path / "out.bin"
+        message = f"{path}: the binary format cannot hold word 2, {word!r}: it holds a space or LF"
+        with pytest.raises(EmbeddingFormatError, match=re.escape(message)):
+            save_binary_format(lib, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    def test_text_file_with_a_blank_line_after_its_header_is_an_error(self, tmp_path, block):
+        # the blank line's LF would begin the first record's word, b"\ncat"
+        path = write(tmp_path / "e.txt", "3 2\n\ncat 0.5 0.25\ndog 0.1 0.2\nbird 0.3 0.4\n")
+        with mock.patch.object(embeddings, "_BLOCK", block):
+            with pytest.raises(EmbeddingFormatError,
+                               match=re.escape(f"{path}: LF in the word of record 0")):
+                load_binary_format(path)
+
 
 # a word2vec/fastText text library: these GloVe lines after a `|V| d` header
 WORD2VEC_LINES = ["cat 0.5 0.25", "dog 0.125 1.0", "bird 2.0 -1.0"]
@@ -352,15 +370,19 @@ WORD_PIECES = [
 
 
 @st.composite
-def binary_files(draw, max_records=12, finite=True):
-    """A binary embedding file: a header, then records whose words may repeat, whose
-    vectors are finite unless not `finite`, and whose LF separator is present or not."""
+def binary_files(draw, max_records=12, well_formed=True):
+    """A binary embedding file: a header, then records whose words may repeat and
+    whose LF separator is present or not. Unless not `well_formed`, no word holds
+    an LF and every vector is finite."""
     dim = draw(st.integers(1, 4))
-    pool = draw(st.lists(st.lists(st.sampled_from(WORD_PIECES), max_size=3).map(b"".join),
+    pieces = [p for p in WORD_PIECES if p != b"\n"] if well_formed else WORD_PIECES
+    pool = draw(st.lists(st.lists(st.sampled_from(pieces), max_size=3).map(b"".join),
                          min_size=1, max_size=6))
-    vectors = st.lists(st.floats(width=32, allow_nan=not finite, allow_infinity=not finite),
-                       min_size=dim, max_size=dim).map(lambda v: struct.pack(f"<{dim}f", *v))
-    if not finite:
+    vectors = st.lists(
+        st.floats(width=32, allow_nan=not well_formed, allow_infinity=not well_formed),
+        min_size=dim, max_size=dim,
+    ).map(lambda v: struct.pack(f"<{dim}f", *v))
+    if not well_formed:
         vectors |= st.binary(min_size=4 * dim, max_size=4 * dim)
     records = draw(st.lists(st.tuples(st.sampled_from(pool), vectors, st.booleans()),
                             min_size=1, max_size=max_records))
@@ -414,7 +436,7 @@ class TestBinaryAgainstOracle:
         assert dupes > 0 and "é日" in vocab and warned
 
     @settings(max_examples=300, deadline=None)
-    @given(data=binary_files(max_records=5, finite=False),
+    @given(data=binary_files(max_records=5, well_formed=False),
            edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=3),
            cut=st.none() | st.integers(0, 200), block=st.integers(1, 64))
     def test_damaged_file_ends_in_library_or_format_error(

