@@ -48,7 +48,6 @@ CONFIG_SCHEMA: dict[str, type] = {
     "embeddings": str,
     "embeddings2": str,
     "out_dir": str,
-    "workers": int,
     "seeds": str,
     "max_train_pairs": int,
     "max_val_pairs": int,
@@ -232,9 +231,9 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _ensemble_settings(cfg: dict) -> tuple[list[int], int]:
-    """The member seeds, a comma-separated list of distinct integers, and the
-    worker process count of `ensemble-train`."""
+def _ensemble_settings(cfg: dict) -> list[int]:
+    """The member seeds of `ensemble-train`, a comma-separated list of distinct
+    integers."""
     if "seeds" not in cfg:
         raise CliError("missing required setting seeds")
     try:
@@ -245,19 +244,15 @@ def _ensemble_settings(cfg: dict) -> tuple[list[int], int]:
         raise CliError("seeds must name at least one seed")
     if len(set(seeds)) != len(seeds):
         raise CliError(f"seeds must be pairwise distinct, got {cfg['seeds']}")
-    workers = cfg.get("workers", 1)
-    if workers < 1:
-        raise CliError(f"workers must be >= 1, got {workers}")
-    return seeds, workers
+    return seeds
 
 
 def cmd_ensemble_train(args) -> int:
     cfg = resolve_config(args)
-    seeds, workers = _ensemble_settings(cfg)
+    seeds = _ensemble_settings(cfg)
     config, train_pairs, val_pairs, lib, out_dir = _train_setup(cfg)
-    group, results = ens.train_ensemble(
-        config, seeds, train_pairs, val_pairs, lib, workers=workers, metrics_dir=out_dir,
-    )
+    group, results = ens.train_ensemble(config, seeds, train_pairs, val_pairs, lib,
+                                        metrics_dir=out_dir)
     manifest = ens.save_ensemble(group, out_dir)
     for seed, result in zip(seeds, results):
         print(f"seed {seed}: best epoch {result.best_epoch}, "
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each command takes flags for the keys it reads; a config file may hold any
     # key, and each command reads only its own, so one file serves every command
     library_keys = ("embeddings", "embeddings2")
-    train_keys = [key for key in CONFIG_SCHEMA if key not in ("seeds", "workers")]
+    train_keys = [key for key in CONFIG_SCHEMA if key != "seeds"]
 
     p = sub.add_parser("train", help="train a model, write checkpoint and metrics")
     _add_config_flags(p, train_keys)

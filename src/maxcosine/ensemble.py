@@ -7,7 +7,6 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
-from .model import Model, augment_pair, forward_members
+from .model import Model, _run_passes, augment_pair, forward_members
 from .training import TrainConfig, TrainResult, train
 
 
@@ -43,24 +42,21 @@ def train_ensemble(
     train_pairs: Sequence[SentencePair],
     val_pairs: Sequence[SentencePair],
     lib: EmbeddingLibrary,
-    workers: int = 1,
     metrics_dir=None,
 ) -> tuple[Ensemble, list[TrainResult]]:
-    """One independent training run per seed; each member is fully determined by
-    its seed, so runs may execute in parallel without changing the result."""
+    """One `train` run per seed, each a `_run_passes` job, started in seed order;
+    a member is fully determined by its seed, so two at once train it unchanged.
+    If a member raises, such as a `DivergenceError`, the others run to their end
+    (on one core, those after it do not start), then the first failed member's
+    error in seed order is raised."""
     if len(set(seeds)) != len(seeds):
         raise ValueError("ensemble seeds must be pairwise distinct")
-    configs = [dataclasses.replace(config, seed=s) for s in seeds]
     metrics = [str(Path(metrics_dir) / f"metrics_seed{s}.tsv") if metrics_dir else None
                for s in seeds]
-    columns = (repeat(train_pairs), repeat(val_pairs), configs, repeat(lib), metrics)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing, ~1 MiB
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(train, *columns))
-    else:
-        results = list(map(train, *columns))
+    results = _run_passes([
+        (train, (train_pairs, val_pairs, dataclasses.replace(config, seed=s), lib, path), 1)
+        for s, path in zip(seeds, metrics)
+    ])
     return Ensemble(members=[r.best_model for r in results]), results
 
 

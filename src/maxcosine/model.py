@@ -176,10 +176,6 @@ class Model:
         `W_i … b_c` row blocks, in checkpoint order over `theta`."""
         return Params(self.theta, _layout(self.config, per_gate=True))
 
-    def __reduce__(self):
-        # a pickled view would come back as a separate copy of its values
-        return Model, (self.config, self.theta)
-
 
 def _glorot(rng: np.random.Generator, rows: int, out: np.ndarray) -> None:
     """Fill `out` with a uniform draw at the Glorot limit of a (rows, out.shape[1])
@@ -333,7 +329,7 @@ def forward_batch(
     hypothesis input, hypothesis output, premise input, premise output, so a
     seeded stream is read the same whatever the batch size. Eval mode is
     deterministic and dropout-free. The encoders run on the calling thread: a second
-    one sped biway steps up but slowed ensemble training in two processes.
+    one sped biway steps up, but ensemble members already fill both cores.
     """
     enc = [fn(*args) for fn, args, _ in _encoder_passes(model, seqs, train, rng)]
     h_out = _softmax_input([e.h_final for e in enc])
@@ -472,6 +468,8 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
+_in_pass = threading.local()  # `busy` while this thread runs a `_run_passes` job
+
 
 def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
     """`fn(*args)` of every `(fn, args, cost)` job, in job order.
@@ -480,10 +478,12 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
     more jobs, the calling thread and one helper thread, started for this call
     and joined before it returns, take them costliest first from one queue, and
     each runs whole on one thread on its own arrays, so every result is computed
-    exactly as a serial loop computes it. Once all jobs have ended, the first
-    error in job order is raised.
+    exactly as a serial loop computes it. A job's own `_run_passes` calls run
+    inline on its thread, so no more than two threads ever run passes. Once all
+    jobs have ended, the first error in job order is raised; after a
+    `KeyboardInterrupt` or `SystemExit`, only the jobs already running end.
     """
-    if not _WORKERS or len(jobs) < 2:
+    if not _WORKERS or len(jobs) < 2 or getattr(_in_pass, "busy", False):
         return [fn(*args) for fn, args, _ in jobs]
     # sorted() is stable, so equal costs keep job order
     todo = deque(sorted(range(len(jobs)), key=lambda j: -jobs[j][2]))
@@ -491,6 +491,7 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
     errors: list[Optional[BaseException]] = [None] * len(jobs)
 
     def drain() -> None:
+        _in_pass.busy = True
         while True:
             try:
                 j = todo.popleft()  # atomic, so no job is taken twice
@@ -501,12 +502,15 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
                 results[j] = fn(*args)
             except BaseException as exc:  # raised below, once no job is running
                 errors[j] = exc
+                if not isinstance(exc, Exception):  # an interrupt or exit: start no more
+                    todo.clear()
 
     helper = threading.Thread(target=drain, name="maxcosine-pass")
     helper.start()
     try:
         drain()
     finally:
+        _in_pass.busy = False
         helper.join()
     error = next((e for e in errors if e is not None), None)
     if error is not None:

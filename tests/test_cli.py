@@ -58,6 +58,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("no_such_key = 1", "unknown config key: 'no_such_key'"),
     ("bi_embedding = true", "unknown config key: 'bi_embedding'"),  # follows embeddings2
     ("embedding_format = text", "unknown config key: 'embedding_format'"),  # found from bytes
+    ("workers = 2", "unknown config key: 'workers'"),  # members run as threads
     ("epochs", "expected key=value, got 'epochs'"),
 ])
 def test_bad_config_file_line_names_its_location(workspace, capsys, line, message):
@@ -222,8 +223,6 @@ BAD_ENSEMBLE_SETTINGS = [
     (["--seeds", "1,1"], "seeds must be pairwise distinct, got 1,1"),
     (["--seeds", ","], "seeds must name at least one seed"),
     (["--seeds", "1,x"], "bad value for seeds: '1,x'"),
-    (["--workers", "0"], "workers must be >= 1, got 0"),
-    (["--workers", "-1"], "workers must be >= 1, got -1"),
 ]
 
 
@@ -250,7 +249,7 @@ def test_config_schema_keys_and_types():
         "batch_size": int, "epochs": int, "dropout_rate": float, "seed": int, "k": int,
         "biway": bool, "oov_window": int,
         "train_path": str, "val_path": str, "embeddings": str, "embeddings2": str,
-        "out_dir": str, "workers": int, "seeds": str,
+        "out_dir": str, "seeds": str,
         "max_train_pairs": int, "max_val_pairs": int,
     }
 
@@ -271,10 +270,10 @@ def test_each_command_takes_flags_for_the_keys_it_reads():
     library = {"--config", "--embeddings", "--embeddings2"}
     assert got["eval"] == got["predict"] == library
     assert got["match"] == library | {"--oov-window"}
-    assert got["train"] == {"--config"} | _flags(CONFIG_SCHEMA) - {"--seeds", "--workers"}
-    assert got["ensemble-train"] == got["train"] - {"--seed"} | {"--seeds", "--workers"}
+    assert got["train"] == {"--config"} | _flags(CONFIG_SCHEMA) - {"--seeds"}
+    assert got["ensemble-train"] == got["train"] - {"--seed"} | {"--seeds"}
     counts = [len(got[name]) for name in ("train", "ensemble-train", "eval", "predict", "match")]
-    assert counts == [19, 20, 3, 3, 4] and sum(counts) == 49
+    assert counts == [19, 19, 3, 3, 4] and sum(counts) == 48
 
 
 @pytest.mark.parametrize("argv", [
@@ -283,7 +282,7 @@ def test_each_command_takes_flags_for_the_keys_it_reads():
     ["predict", "model.ckpt", "a", "b", "--k", "99"],
     ["match", "a", "b", "--biway", "true"],
     ["train", "--seeds", "1,2"],
-    ["train", "--workers", "0"],
+    ["ensemble-train", "--workers", "2"],  # members run as threads, two at a time
     ["train", "--bi-embedding", "true"],
     ["ensemble-train", "--seed", "1"],
 ])
@@ -346,7 +345,7 @@ def test_one_config_file_serves_every_command(workspace, capsys):
         "learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "batch_size": 4,
         "epochs": 1, "dropout_rate": 0.1, "seed": 3, "k": 4, "biway": "true", "oov_window": 2, "train_path": data, "val_path": data,
         "embeddings": emb, "embeddings2": emb2, "out_dir": out_dir,
-        "workers": 1, "seeds": "1,2", "max_train_pairs": 6, "max_val_pairs": 6,
+        "seeds": "1,2", "max_train_pairs": 6, "max_val_pairs": 6,
     }
     assert values.keys() == CONFIG_SCHEMA.keys()
     cfg = tmp_path / "all.cfg"

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import assert_views_tile_theta, random_library, random_pairs, record_pass_threads
-from maxcosine import model as model_module, training
+from helpers import random_library, random_pairs, record_pass_threads
+from maxcosine import ensemble as ensemble_module, model as model_module, training
 from maxcosine.checkpoint import CheckpointError, save_checkpoint
 from maxcosine.ensemble import (
     Ensemble,
@@ -23,7 +23,7 @@ from maxcosine.ensemble import (
 from maxcosine.matching import index_pairs
 from maxcosine.model import decide, forward, forward_batch, init_model, member_mean
 from maxcosine.numerics import make_rng
-from maxcosine.training import EVAL_CHUNK, TrainConfig, evaluate
+from maxcosine.training import EVAL_CHUNK, DivergenceError, TrainConfig, evaluate
 
 
 def setup(n_pairs=10, seed=3):
@@ -171,6 +171,53 @@ def test_parallel_members_equal_serial(monkeypatch, one_helper):
         assert serial.tobytes() == parallel.tobytes() and serial_label == label
 
 
+def test_members_trained_on_two_threads_equal_serial(monkeypatch, one_helper):
+    # each member trains whole on the caller or the helper, and its biway
+    # validation passes run on that member's thread
+    lib, pairs = setup()
+    config = quick_config(biway=True, dropout_rate=0.2)
+    threads = threading.active_count()
+    thetas = {}
+    seen = record_pass_threads(monkeypatch)
+    for workers in (0, 1):
+        monkeypatch.setattr(model_module, "_WORKERS", workers)
+        group, _ = train_ensemble(config, [1, 2, 3], pairs, pairs[:3], lib)
+        thetas[workers] = [m.theta.tobytes() for m in group.members]
+    assert len(set(seen)) == 2  # the caller and one helper, nothing nested
+    assert threading.active_count() == threads
+    assert thetas[0] == thetas[1]
+
+
+def test_diverging_member_raises_its_error_after_the_others_end(monkeypatch, one_helper):
+    lib, pairs = setup()
+    real_backward, real_train = training.backward, ensemble_module.train
+    ended, raised = [], []
+
+    def backward(model, trace, labels):
+        grads = real_backward(model, trace, labels)
+        if model.config.seed == 2:
+            grads.flat[0] = np.nan
+        return grads
+
+    def train(*args):
+        try:
+            result = real_train(*args)
+        except DivergenceError as exc:
+            raised.append(exc)
+            raise
+        ended.append(args[2].seed)
+        return result
+
+    monkeypatch.setattr(training, "backward", backward)
+    monkeypatch.setattr(ensemble_module, "train", train)
+    threads = threading.active_count()
+    with pytest.raises(DivergenceError) as info:
+        train_ensemble(quick_config(), [1, 2, 3], pairs, pairs[:3], lib)
+    assert len(raised) == 1 and info.value is raised[0]
+    assert sorted(ended) == [1, 3]
+    assert threading.active_count() == threads
+
+
 def _predict_all(group, pairs, lib):
     return [(probs.tobytes(), label) for probs, label in
             (predict_ensemble(group, pair, lib) for pair in pairs)]
@@ -301,14 +348,6 @@ class TestManifest:
         path.write_text(text)
         with pytest.raises(ManifestError, match=re.escape(str(path))):
             load_ensemble(path)
-
-    def test_members_from_worker_processes_alias_their_theta(self):
-        lib, pairs = setup()
-        group, _ = train_ensemble(quick_config(), [1, 2], pairs, pairs[:3], lib, workers=2)
-        serial, _ = train_ensemble(quick_config(), [1, 2], pairs, pairs[:3], lib)
-        for member, same in zip(group.members, serial.members):
-            assert member.theta.tobytes() == same.theta.tobytes()
-            assert_views_tile_theta(member)
 
     def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ensemble.json"

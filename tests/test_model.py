@@ -2,7 +2,6 @@ import hashlib
 import dataclasses
 import json
 import math
-import pickle
 import re
 import struct
 import sys
@@ -326,6 +325,36 @@ class TestIndependentPasses:
         # results come back in job order, whatever order the jobs were taken in
         assert model_module._run_passes([(echo, (0,), 1), (echo, (1,), 2)]) == [0, 1]
 
+    def test_a_jobs_own_passes_run_on_its_thread(self, one_helper):
+        def job():
+            inner = model_module._run_passes([(threading.current_thread, (), 1)] * 2)
+            return inner == [threading.current_thread()] * 2
+
+        threads = threading.active_count()
+        assert model_module._run_passes([(job, (), 1)] * 2) == [True, True]
+        assert threading.active_count() == threads
+
+    def test_an_interrupt_starts_no_further_job(self, one_helper):
+        both = threading.Barrier(2, timeout=10)  # jobs 0 and 1 run at once, one a thread
+        ran = []
+
+        def job(i):
+            if i < 2:
+                both.wait()
+                if threading.current_thread() is not threading.main_thread():
+                    raise KeyboardInterrupt
+                # the caller's job ends once the helper has stopped
+                helper = next((t for t in threading.enumerate() if t.name == "maxcosine-pass"),
+                              None)
+                if helper is not None:
+                    helper.join(timeout=10)
+                    assert not helper.is_alive()
+            ran.append(i)
+
+        with pytest.raises(KeyboardInterrupt):
+            model_module._run_passes([(job, (i,), 3 - i) for i in range(3)])
+        assert len(ran) == 1 and 2 not in ran
+
     def test_every_job_runs_once_under_contention(self, monkeypatch):
         monkeypatch.setattr(model_module, "_WORKERS", 1)
         runs = [0] * 64
@@ -414,12 +443,6 @@ class TestParameterBuffer:
         ] + ["softmax.W_s", "softmax.b_s"]
         assert model.theta.shape == (parameter_count(model.config),)
         assert_views_tile_theta(model)
-
-    def test_pickled_model_views_alias_its_theta(self, biway):
-        model = small_model(d=3, k=4, biway=biway)
-        back = pickle.loads(pickle.dumps(model))
-        assert back.config == model.config and back.theta.tobytes() == model.theta.tobytes()
-        assert_views_tile_theta(back)
 
     def test_copy_owns_its_theta(self, biway):
         model = small_model(d=3, k=4, biway=biway)

@@ -20,7 +20,15 @@ from helpers import (
     record_pass_threads,
 )
 from maxcosine import matching, model as model_module, training
-from maxcosine.model import Model, ModelConfig, augment_pair, dropout_mask, init_model
+from maxcosine.model import (
+    Model,
+    ModelConfig,
+    augment_pair,
+    backward,
+    dropout_mask,
+    forward_batch,
+    init_model,
+)
 from maxcosine.numerics import make_rng
 from maxcosine.training import (
     LOG_FLOOR,
@@ -374,6 +382,32 @@ def test_biway_training_equals_serial(monkeypatch, one_helper):
     assert serial.best_model.theta.tobytes() == parallel.best_model.theta.tobytes()
     assert [h.val_accuracy for h in serial.history] == [h.val_accuracy for h in parallel.history]
     assert [h.train_loss for h in serial.history] == [h.train_loss for h in parallel.history]
+
+
+@pytest.mark.parametrize("batches", [1, 2])
+def test_epoch_is_the_hand_assembled_adam_steps(batches):
+    # one epoch: a permutation, then per batch the train-mode forward on the same
+    # stream, the backward, its mean over the batch and one Adam step, whose
+    # m, v and t carry over to the next batch
+    rng = make_rng(9)
+    lib = random_library(rng, dim=6)
+    pairs = random_pairs(rng, lib, 6)
+    cfg = TrainConfig(k=4, batch_size=6 // batches, epochs=1, dropout_rate=0.2, biway=True,
+                      seed=5)
+    rng = make_rng(cfg.seed)
+    model = init_model(cfg.model_config(lib.dim), rng)
+    index = matching.index_pairs(pairs, lib, model.config)
+    params = model.parameters()
+    state = AdamState.for_params(params)
+    order = rng.permutation(len(pairs))
+    for start in range(0, len(pairs), cfg.batch_size):
+        which = order[start : start + cfg.batch_size]
+        _, trace = forward_batch(model, index.sequences(which), train=True, rng=rng)
+        grads = backward(model, trace, [pairs[i].label for i in which])
+        grads.flat /= len(which)
+        adam_step(params, grads, state, cfg)
+    assert state.t == batches
+    assert train(pairs, pairs[:2], cfg, lib).best_model.theta.tobytes() == model.theta.tobytes()
 
 
 class PerBatchMatching:
