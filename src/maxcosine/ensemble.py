@@ -15,6 +15,7 @@ import numpy as np
 from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
+from .matching import index_pairs
 from .model import Model, _run_passes, augment_pair, forward_members
 from .training import TrainConfig, TrainResult, train
 
@@ -48,13 +49,20 @@ def train_ensemble(
     a member is fully determined by its seed, so two at once train it unchanged.
     If a member raises, such as a `DivergenceError`, the others run to their end
     (on one core, those after it do not start), then the first failed member's
-    error in seed order is raised."""
+    error in seed order is raised. After Ctrl-C, no member starts, and one
+    training on the helper thread stops at its next batch."""
     if len(set(seeds)) != len(seeds):
         raise ValueError("ensemble seeds must be pairwise distinct")
     metrics = [str(Path(metrics_dir) / f"metrics_seed{s}.tsv") if metrics_dir else None
                for s in seeds]
+    # matching reads only what members share (library, biway, OOV window), so
+    # both sets are matched once here, not once per member
+    model_config = config.model_config(lib.dim)
+    indexes = (index_pairs(train_pairs, lib, model_config),
+               index_pairs(val_pairs, lib, model_config))
     results = _run_passes([
-        (train, (train_pairs, val_pairs, dataclasses.replace(config, seed=s), lib, path), 1)
+        (train, (train_pairs, val_pairs, dataclasses.replace(config, seed=s), lib, path,
+                 False, indexes), 1)
         for s, path in zip(seeds, metrics)
     ])
     return Ensemble(members=[r.best_model for r in results]), results

@@ -4,6 +4,7 @@ passes for the base and biway architectures."""
 from __future__ import annotations
 
 import ctypes  # numpy imports it too
+import glob
 import itertools
 import math
 import os
@@ -468,7 +469,27 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
-_in_pass = threading.local()  # `busy` while this thread runs a `_run_passes` job
+
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, whatever `OPENBLAS_NUM_THREADS`
+    says: a product's rounding depends on how many threads split it, so runs
+    give the same bytes in every environment, and the cores are left to
+    `_run_passes`. Without a bundled OpenBLAS, this does nothing."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for path in glob.glob(os.path.join(site, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)  # already loaded by numpy, so this adds no copy
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+                set_threads(1)
+                return
+
+
+_one_blas_thread()
+
+_in_pass = threading.local()  # `stop`, the call's Event, while this thread runs a job
 
 
 def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
@@ -480,19 +501,21 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
     each runs whole on one thread on its own arrays, so every result is computed
     exactly as a serial loop computes it. A job's own `_run_passes` calls run
     inline on its thread, so no more than two threads ever run passes. Once all
-    jobs have ended, the first error in job order is raised; after a
-    `KeyboardInterrupt` or `SystemExit`, only the jobs already running end.
+    jobs have ended, the first error in job order is raised. After a
+    `KeyboardInterrupt` or `SystemExit`, in a job or while the caller waits, no
+    job starts, and a running job that calls `stop_point` raises there.
     """
-    if not _WORKERS or len(jobs) < 2 or getattr(_in_pass, "busy", False):
+    if not _WORKERS or len(jobs) < 2 or getattr(_in_pass, "stop", None) is not None:
         return [fn(*args) for fn, args, _ in jobs]
     # sorted() is stable, so equal costs keep job order
     todo = deque(sorted(range(len(jobs)), key=lambda j: -jobs[j][2]))
     results: list = [None] * len(jobs)
     errors: list[Optional[BaseException]] = [None] * len(jobs)
+    stop = threading.Event()
 
     def drain() -> None:
-        _in_pass.busy = True
-        while True:
+        _in_pass.stop = stop
+        while not stop.is_set():
             try:
                 j = todo.popleft()  # atomic, so no job is taken twice
             except IndexError:
@@ -502,17 +525,41 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
                 results[j] = fn(*args)
             except BaseException as exc:  # raised below, once no job is running
                 errors[j] = exc
-                if not isinstance(exc, Exception):  # an interrupt or exit: start no more
-                    todo.clear()
+                if not isinstance(exc, Exception):  # an interrupt or exit
+                    stop.set()
 
-    helper = threading.Thread(target=drain, name="maxcosine-pass")
+    # an interrupted Thread.join can mark a thread that still runs as ended
+    # (CPython 3.11), so the caller waits for this instead
+    helped = threading.Event()
+
+    def run_helper() -> None:
+        try:
+            drain()
+        finally:
+            helped.set()
+
+    helper = threading.Thread(target=run_helper, name="maxcosine-pass")
     helper.start()
     try:
         drain()
+        helped.wait()
+    except BaseException:  # an interrupt outside a job, as while waiting
+        stop.set()
+        helped.wait()
+        raise
     finally:
-        _in_pass.busy = False
-        helper.join()
+        helper.join()  # its drain has returned, or ends at its next stop point
+        _in_pass.stop = None
     error = next((e for e in errors if e is not None), None)
     if error is not None:
         raise error
     return results
+
+
+def stop_point() -> None:
+    """Raise `KeyboardInterrupt` in a `_run_passes` job once its call has been
+    interrupted or exited, so a long job, such as an ensemble member, ends at
+    its next call here instead of running to its end; elsewhere, return."""
+    stop = getattr(_in_pass, "stop", None)
+    if stop is not None and stop.is_set():
+        raise KeyboardInterrupt

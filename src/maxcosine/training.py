@@ -20,6 +20,7 @@ from .model import (
     forward_batch,
     forward_members,
     init_model,
+    stop_point,
 )
 from .numerics import make_rng
 
@@ -178,16 +179,19 @@ def train(
     lib: EmbeddingLibrary,
     metrics_path=None,
     verbose: bool = False,
+    indexes: Optional[tuple[PairIndex, PairIndex]] = None,
 ) -> TrainResult:
     """Seeded mini-batch training; returns the checkpoint with the best validation
-    accuracy (ties resolved toward the earlier epoch)."""
+    accuracy (ties resolved toward the earlier epoch). `indexes` are the
+    `index_pairs` matchings of `train_pairs` and `val_pairs`, built here when
+    not given."""
     if not train_pairs or not val_pairs:
         raise ValueError("train and validation sets must be non-empty")
     rng = make_rng(config.seed)
     model = init_model(config.model_config(lib.dim), rng)
     # matching reads only frozen vectors, so each set is matched once for the run
-    train_index = index_pairs(train_pairs, lib, model.config)
-    val_index = index_pairs(val_pairs, lib, model.config)
+    train_index, val_index = indexes or (index_pairs(train_pairs, lib, model.config),
+                                         index_pairs(val_pairs, lib, model.config))
     params = model.parameters()
     state = AdamState.for_params(params)
     # epoch 1 always beats best_acc, so this is written before it is returned
@@ -205,6 +209,7 @@ def train(
             # a diverging step raises DivergenceError; numpy's warnings would add nothing
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, config.batch_size):
+                    stop_point()  # an ensemble member ends here once its run is interrupted
                     which = order[start : start + config.batch_size]
                     batch = [train_pairs[i] for i in which]
                     seqs = train_index.sequences(which)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from maxcosine.ensemble import (
 from maxcosine.matching import index_pairs
 from maxcosine.model import decide, forward, forward_batch, init_model, member_mean
 from maxcosine.numerics import make_rng
-from maxcosine.training import EVAL_CHUNK, DivergenceError, TrainConfig, evaluate
+from maxcosine.training import EVAL_CHUNK, DivergenceError, TrainConfig, evaluate, train
 
 
 def setup(n_pairs=10, seed=3):
@@ -216,6 +217,52 @@ def test_diverging_member_raises_its_error_after_the_others_end(monkeypatch, one
     assert len(raised) == 1 and info.value is raised[0]
     assert sorted(ended) == [1, 3]
     assert threading.active_count() == threads
+
+
+def test_members_equal_their_own_train_runs_from_one_matching(monkeypatch, one_helper):
+    # members share the matching of each set, built once, and each trains to
+    # the bytes of a `train` call that matches both sets itself
+    lib, pairs = setup()
+    config = quick_config(biway=True, dropout_rate=0.2)
+    alone = [train(pairs, pairs[:3], dataclasses.replace(config, seed=s), lib) for s in (1, 2)]
+    calls = []
+    index_pairs = ensemble_module.index_pairs
+
+    def counted(*args):
+        calls.append(args[0])
+        return index_pairs(*args)
+
+    monkeypatch.setattr(ensemble_module, "index_pairs", counted)
+    monkeypatch.setattr(training, "index_pairs", counted)
+    group, results = train_ensemble(config, [1, 2], pairs, pairs[:3], lib)
+    assert calls == [pairs, pairs[:3]]
+    for member, result, own in zip(group.members, results, alone):
+        assert member.theta.tobytes() == own.best_model.theta.tobytes()
+        assert result.history == own.history
+
+
+def test_an_interrupted_ensemble_stops_the_member_on_the_helper(monkeypatch, one_helper):
+    # Ctrl-C reaches only the caller's member; the helper's member ends at its
+    # next batch instead of training all of its 150 steps, and no third starts
+    lib, pairs = setup()
+    main = threading.main_thread()
+    real_backward = training.backward
+    helper_steps = []
+    helper_started = threading.Event()
+
+    def backward(model, trace, labels):
+        if threading.current_thread() is main:
+            assert helper_started.wait(timeout=10)
+            raise KeyboardInterrupt
+        helper_steps.append(model.config.seed)
+        helper_started.set()
+        return real_backward(model, trace, labels)
+
+    monkeypatch.setattr(training, "backward", backward)
+    config = quick_config(epochs=50)  # 10 pairs at batch 4: 3 steps an epoch
+    with pytest.raises(KeyboardInterrupt):
+        train_ensemble(config, [1, 2, 3], pairs, pairs[:3], lib)
+    assert 1 <= len(helper_steps) < 150 and len(set(helper_steps)) == 1
 
 
 def _predict_all(group, pairs, lib):

@@ -3,9 +3,11 @@ import dataclasses
 import json
 import math
 import re
+import signal
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -354,6 +356,57 @@ class TestIndependentPasses:
         with pytest.raises(KeyboardInterrupt):
             model_module._run_passes([(job, (i,), 3 - i) for i in range(3)])
         assert len(ran) == 1 and 2 not in ran
+
+    def test_an_interrupt_stops_a_long_job_on_the_helper(self, one_helper):
+        # Ctrl-C reaches only the caller; the helper's job, such as an ensemble
+        # member, ends at its next stop point instead of running to its end
+        started = threading.Event()
+        stopped = []
+
+        def job():
+            if threading.current_thread() is threading.main_thread():
+                assert started.wait(timeout=10)
+                raise KeyboardInterrupt
+            started.set()
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                try:
+                    model_module.stop_point()
+                except KeyboardInterrupt:
+                    stopped.append(True)
+                    raise
+                time.sleep(0.001)
+
+        with pytest.raises(KeyboardInterrupt):
+            model_module._run_passes([(job, (), 1)] * 2)
+        assert stopped == [True]
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_an_interrupt_while_the_caller_waits_stops_the_helpers_job(self, one_helper):
+        caller_done = threading.Event()
+        stopped = []
+
+        def job():
+            if threading.current_thread() is threading.main_thread():
+                caller_done.set()  # the caller then waits for the helper
+                return
+            assert caller_done.wait(timeout=10)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                try:
+                    model_module.stop_point()
+                except KeyboardInterrupt:
+                    stopped.append(True)
+                    raise
+                time.sleep(0.001)
+
+        with pytest.raises(KeyboardInterrupt):
+            model_module._run_passes([(job, (), 1)] * 2)
+        assert stopped == [True]
+
+    def test_stop_point_outside_a_job_returns(self):
+        assert model_module.stop_point() is None
 
     def test_every_job_runs_once_under_contention(self, monkeypatch):
         monkeypatch.setattr(model_module, "_WORKERS", 1)

@@ -1,4 +1,5 @@
 import ctypes
+import glob
 import os
 import platform
 import re
@@ -7,6 +8,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -482,12 +484,15 @@ def test_second_train_call_reuses_the_heap():
     assert int(run_fresh(SECOND_TRAIN_FAULTS).stdout) < 1000
 
 
-def run_fresh(script: str) -> subprocess.CompletedProcess:
-    """`script` run in a new interpreter that imports this checkout and the test helpers."""
+def run_fresh(script: str, blas_threads: Optional[str] = "1") -> subprocess.CompletedProcess:
+    """`script` run in a new interpreter that imports this checkout and the test
+    helpers, with `OPENBLAS_NUM_THREADS` set to `blas_threads`, or unset for None."""
     tests = Path(__file__).resolve().parent
     src = Path(model_module.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
-           "OPENBLAS_NUM_THREADS": "1"}
+           "OPENBLAS_NUM_THREADS": blas_threads}
+    if blas_threads is None:
+        del env["OPENBLAS_NUM_THREADS"]
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True, timeout=300)
 
@@ -514,6 +519,43 @@ def test_runs_in_separate_processes_give_identical_checkpoints(monkeypatch):
         monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
         runs.append(run_fresh(BEST_THETA_OF_A_RUN).stdout)
     assert runs[0] == runs[1] and len(runs[0]) > 1
+
+
+# The best theta of a base run whose products are wide enough for OpenBLAS to
+# split them over threads, as a digest of its bytes.
+THETA_OF_WIDE_PRODUCTS = """
+import hashlib
+from helpers import random_library, random_pairs
+from maxcosine.numerics import make_rng
+from maxcosine.training import TrainConfig, train
+
+rng = make_rng(9)
+lib = random_library(rng, n_words=200, dim=50)
+pairs = random_pairs(rng, lib, 64)
+config = TrainConfig(k=100, batch_size=64, epochs=1, seed=9)
+print(hashlib.sha256(train(pairs, pairs[:4], config, lib).best_model.theta.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                               "numpy.libs", "*openblas*")),
+                    reason="numpy without its bundled OpenBLAS")
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_variable():
+    """Importing the package sets numpy's OpenBLAS to one thread, so a run gives
+    the same bytes with `OPENBLAS_NUM_THREADS` unset, 1 or 2 (unset and 2 split
+    these products over two threads, and round them apart, without it)."""
+    runs = {threads: run_fresh(THETA_OF_WIDE_PRODUCTS, threads).stdout
+            for threads in (None, "1", "2")}
+    assert len(set(runs.values())) == 1, runs
+
+
+def test_blas_setting_is_a_no_op_without_a_bundled_openblas(monkeypatch):
+    def no_library(*args):
+        raise AssertionError("opened a library with no bundled OpenBLAS")
+
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert model_module._one_blas_thread() is None
 
 
 # Biway ensemble passes on the caller and one helper thread, then glibc's
