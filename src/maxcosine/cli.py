@@ -37,12 +37,10 @@ log = logging.getLogger(__name__)
 
 GRADCHECK_TOLERANCE = 1e-5
 
-# every accepted config-file key and its type: TrainConfig's fields but the
-# early-exit target, which has no flag, and bi_embedding, which follows
-# embeddings2, then the run's files and options
+# every accepted config-file key and its type: TrainConfig's fields but
+# bi_embedding, which follows embeddings2, then the run's files and options
 CONFIG_SCHEMA: dict[str, type] = {
-    **{k: ty for k, ty in get_type_hints(TrainConfig).items()
-       if k not in ("target_val_accuracy", "bi_embedding")},
+    **{k: ty for k, ty in get_type_hints(TrainConfig).items() if k != "bi_embedding"},
     "train_path": str,
     "val_path": str,
     "embeddings": str,
@@ -166,8 +164,7 @@ def _train_setup(cfg: dict):
 
 def cmd_train(args) -> int:
     config, train_pairs, val_pairs, lib, out_dir = _train_setup(resolve_config(args))
-    result = train(train_pairs, val_pairs, config, lib,
-                   metrics_path=out_dir / "metrics.tsv", verbose=True)
+    result = train(train_pairs, val_pairs, config, lib, metrics_path=out_dir / "metrics.tsv")
     ckpt.save_checkpoint(out_dir / "model.ckpt", result.best_model)
     print(f"best epoch {result.best_epoch}: val_accuracy={result.best_val_accuracy:.4f}")
     print(f"checkpoint: {out_dir / 'model.ckpt'}")
@@ -175,12 +172,12 @@ def cmd_train(args) -> int:
 
 
 def _load_group(path) -> ens.Ensemble:
-    """An ensemble manifest, or a checkpoint as a one-member ensemble."""
+    """A checkpoint, as a one-member ensemble, or else an ensemble manifest."""
     with open(path, "rb") as fh:
-        is_manifest = fh.read(1) == b"{"
-    if is_manifest:
-        return ens.load_ensemble(path)
-    return ens.Ensemble([ckpt.load_checkpoint(path)])
+        is_checkpoint = fh.read(len(ckpt.MAGIC)) == ckpt.MAGIC
+    if is_checkpoint:
+        return ens.Ensemble([ckpt.load_checkpoint(path)])
+    return ens.load_ensemble(path)
 
 
 def cmd_eval(args) -> int:

@@ -62,7 +62,7 @@ def train_ensemble(
                index_pairs(val_pairs, lib, model_config))
     results = _run_passes([
         (train, (train_pairs, val_pairs, dataclasses.replace(config, seed=s), lib, path,
-                 False, indexes), 1)
+                 indexes), 1)
         for s, path in zip(seeds, metrics)
     ])
     return Ensemble(members=[r.best_model for r in results]), results
@@ -112,10 +112,13 @@ def load_ensemble(manifest_path) -> Ensemble:
 
 
 def save_ensemble(ensemble: Ensemble, out_dir) -> Path:
-    """Each member's checkpoint, named by its seed, and a manifest listing them."""
+    """Each member's checkpoint, named by its seed, and a manifest listing them.
+    Members of one seed would share a file, so they raise before anything is written."""
+    seeds = [m.config.seed for m in ensemble.members]
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"ensemble members must have distinct seeds to be saved, got {seeds}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = [m.config.seed for m in ensemble.members]
     paths = [f"member_seed{seed}.ckpt" for seed in seeds]
     for model, p in zip(ensemble.members, paths):
         save_checkpoint(out / p, model)

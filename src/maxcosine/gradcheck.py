@@ -18,7 +18,6 @@ def model_gradient_check(
     model: Model,
     pairs: Sequence[SentencePair],
     lib: EmbeddingLibrary,
-    h: float = 1e-5,
 ) -> float:
     """Max relative error between analytic BPTT gradients and central differences
     of the mean cross-entropy loss over `pairs`. Dropout must be 0."""
@@ -38,4 +37,4 @@ def model_gradient_check(
 
     _, trace = forward_batch(model, seqs)
     analytic = backward(model, trace, labels).flat / len(seqs)
-    return gradient_check(objective, model.theta.astype(np.longdouble), analytic, h=h)
+    return gradient_check(objective, model.theta.astype(np.longdouble), analytic)

@@ -280,19 +280,16 @@ def augment_pair(
 def _encoder_passes(
     model: Model,
     seqs: Sequence[tuple[np.ndarray, ...]],
-    train: bool,
     rng: Optional[np.random.Generator],
 ) -> list[tuple[Callable, tuple, int]]:
     """One `lstm_forward` pass per encoder of `model`, as `_run_passes` jobs,
-    with any train-mode dropout already drawn and applied."""
+    with dropout drawn from `rng` and applied when an rng is given."""
     cfg, lstms = model.config, model.lstms
     if any(len(seq) != len(lstms) for seq in seqs):
         raise ValueError(f"a model of {len(lstms)} encoders needs {len(lstms)} sequences a pair")
     inputs = [[seq[side] for seq in seqs] for side in range(len(lstms))]
     out_masks = [None] * len(lstms)
-    if train and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng")
+    if rng is not None and cfg.dropout_rate > 0.0:
         rate, masks = cfg.dropout_rate, [[] for _ in lstms]
         for b in range(len(seqs)):
             for side, Zs in enumerate(inputs):
@@ -320,19 +317,20 @@ def _final_states(*args) -> np.ndarray:
 def forward_batch(
     model: Model,
     seqs: Sequence[tuple[np.ndarray, ...]],
-    train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """(B, 3) probabilities of a batch of `augment_pair` outputs.
 
-    Train mode applies inverted dropout to every input row and to each final
-    hidden state. The masks are drawn pair by pair before encoding, in the order
-    hypothesis input, hypothesis output, premise input, premise output, so a
-    seeded stream is read the same whatever the batch size. Eval mode is
-    deterministic and dropout-free. The encoders run on the calling thread: a second
-    one sped biway steps up, but ensemble members already fill both cores.
+    With an `rng`, this is train mode: inverted dropout on every input row and
+    on each final hidden state, its masks drawn from `rng` pair by pair before
+    encoding, in the order hypothesis input, hypothesis output, premise input,
+    premise output, so a seeded stream is read the same whatever the batch
+    size. Without one, it is eval mode: deterministic and dropout-free.
+    The encoders run on the calling thread: no benchmarked workload trains
+    biway, and a helper thread started for each of gradcheck's many small
+    forwards doubled its time.
     """
-    enc = [fn(*args) for fn, args, _ in _encoder_passes(model, seqs, train, rng)]
+    enc = [fn(*args) for fn, args, _ in _encoder_passes(model, seqs, rng)]
     h_out = _softmax_input([e.h_final for e in enc])
     probs, _ = decide(model.softmax, h_out)
     return probs, ForwardTrace(encoders=enc, h_out=h_out, probabilities=probs)
@@ -356,7 +354,7 @@ def forward_members(
     batch, each member's as `forward_batch` gives them. All the models'
     encoders run as one set of independent passes, and each pass keeps only its
     final hidden states. One model's mean is bitwise its own output."""
-    passes = [_encoder_passes(m, seqs, False, None) for m in models]
+    passes = [_encoder_passes(m, seqs, None) for m in models]
     jobs = [(_final_states, args, cost) for each in passes for _, args, cost in each]
     finals = iter(_run_passes(jobs))
     return member_mean([
@@ -366,15 +364,11 @@ def forward_members(
 
 
 def forward(
-    model: Model,
-    pair: SentencePair,
-    lib: EmbeddingLibrary,
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
+    model: Model, pair: SentencePair, lib: EmbeddingLibrary
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Full forward pass of one pair, a batch of one: matching, encoding,
+    """Eval-mode forward pass of one pair, a batch of one: matching, encoding,
     decision. Returns its (3,) probabilities."""
-    probs, trace = forward_batch(model, [augment_pair(pair, lib, model.config)], train, rng)
+    probs, trace = forward_batch(model, [augment_pair(pair, lib, model.config)])
     return probs[0], trace
 
 

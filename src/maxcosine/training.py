@@ -51,8 +51,6 @@ class TrainConfig:
     biway: bool = False
     bi_embedding: bool = False
     oov_window: int = DEFAULT_OOV_WINDOW
-    # optional early exit once validation accuracy reaches this value
-    target_val_accuracy: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -178,13 +176,13 @@ def train(
     config: TrainConfig,
     lib: EmbeddingLibrary,
     metrics_path=None,
-    verbose: bool = False,
     indexes: Optional[tuple[PairIndex, PairIndex]] = None,
 ) -> TrainResult:
-    """Seeded mini-batch training; returns the checkpoint with the best validation
-    accuracy (ties resolved toward the earlier epoch). `indexes` are the
-    `index_pairs` matchings of `train_pairs` and `val_pairs`, built here when
-    not given."""
+    """Seeded mini-batch training for `config.epochs` epochs; returns the
+    checkpoint with the best validation accuracy (ties resolved toward the
+    earlier epoch). Each epoch is logged at INFO under the run's seed.
+    `indexes` are the `index_pairs` matchings of `train_pairs` and `val_pairs`,
+    built here when not given."""
     if not train_pairs or not val_pairs:
         raise ValueError("train and validation sets must be non-empty")
     rng = make_rng(config.seed)
@@ -214,7 +212,7 @@ def train(
                     batch = [train_pairs[i] for i in which]
                     seqs = train_index.sequences(which)
                     labels = [pair.label for pair in batch]
-                    probs, trace = forward_batch(model, seqs, train=True, rng=rng)
+                    probs, trace = forward_batch(model, seqs, rng)
                     losses = pair_losses(probs, labels)
                     diverged = [p.id for p, loss in zip(batch, losses) if not np.isfinite(loss)]
                     if diverged:
@@ -236,20 +234,15 @@ def train(
             if metrics_fh:
                 metrics_fh.write(f"{epoch}\t{train_loss:.10f}\t{val.accuracy:.6f}\n")
                 metrics_fh.flush()
-            if verbose:
-                log.info(
-                    "epoch %d: train_loss=%.6f val_acc=%.4f train_pairs_per_s=%.1f val_s=%.3f",
-                    epoch, train_loss, val.accuracy, n / (trained - started), validated - trained,
-                )
+            log.info(
+                "seed %d epoch %d: train_loss=%.6f val_acc=%.4f train_pairs_per_s=%.1f val_s=%.3f",
+                config.seed, epoch, train_loss, val.accuracy, n / (trained - started),
+                validated - trained,
+            )
             if val.accuracy > best_acc:
                 best_acc = val.accuracy
                 best_epoch = epoch
                 np.copyto(best_model.theta, model.theta)
-            if (
-                config.target_val_accuracy is not None
-                and val.accuracy >= config.target_val_accuracy
-            ):
-                break
     finally:
         if metrics_fh:
             metrics_fh.close()

@@ -44,7 +44,7 @@ def test_criterion_1_gradient_correctness():
         pairs = random_pairs(rng, lib, 2, min_len=3, max_len=6)
         cfg = TrainConfig(k=12, biway=biway, dropout_rate=0.0, seed=seed)
         model = init_model(cfg.model_config(8), make_rng(seed))
-        worst = max(worst, model_gradient_check(model, pairs, lib, h=1e-5))
+        worst = max(worst, model_gradient_check(model, pairs, lib))
     elapsed = time.time() - t0
     report(
         1,
@@ -120,9 +120,7 @@ def test_criterion_5_memorization():
     rng = make_rng(500)
     lib = random_library(rng, n_words=30, dim=16)
     pairs = random_pairs(rng, lib, 50)
-    cfg = TrainConfig(
-        k=32, batch_size=16, epochs=300, dropout_rate=0.0, seed=500, target_val_accuracy=1.0
-    )
+    cfg = TrainConfig(k=32, batch_size=16, epochs=300, dropout_rate=0.0, seed=500)
     result = train(pairs, pairs, cfg, lib)
     elapsed = time.time() - t0
     losses = [h.train_loss for h in result.history[:5]]
@@ -130,7 +128,7 @@ def test_criterion_5_memorization():
     report(
         5,
         result.best_val_accuracy == 1.0 and decreasing and elapsed < 120.0,
-        f"100% within {len(result.history)} epochs, first-5 losses decreasing, {elapsed:.1f}s",
+        f"100% at epoch {result.best_epoch} of 300, first-5 losses decreasing, {elapsed:.1f}s",
     )
 
 
@@ -147,7 +145,7 @@ def test_criterion_6_determinism_and_ensemble_identities():
     )
 
     model = a.best_model
-    probs_m, trace = forward(model, pairs[0], lib, train=False)
+    probs_m, trace = forward(model, pairs[0], lib)
     _, label_m = decide(model.softmax, trace.h_out)
     probs_e, label_e = predict_ensemble(Ensemble(members=[model] * 4), pairs[0], lib)
     identical_members = np.array_equal(probs_e, probs_m) and label_e == label_m

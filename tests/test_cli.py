@@ -1,13 +1,17 @@
 import argparse
 import json
 import logging
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from maxcosine import cli
 from maxcosine.checkpoint import load_checkpoint
 from maxcosine.cli import (
     CONFIG_SCHEMA, CliError, _train_setup, build_parser, load_library, main, read_config_file,
@@ -483,24 +487,61 @@ def test_ensemble_train_and_eval(workspace, capsys):
     assert "accuracy:" in capsys.readouterr().out
 
 
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """`maxcosine *argv` in a new interpreter, so logging starts unconfigured."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "maxcosine.cli", *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+
+
+def test_epoch_lines_show_only_with_verbose(workspace):
+    tmp_path, emb, data = workspace
+    common = ["--embeddings", str(emb), "--train-path", str(data), "--val-path", str(data),
+              "--k", "4", "--epochs", "2", "--batch-size", "6"]
+    quiet = run_cli("train", *common, "--out-dir", str(tmp_path / "one"))
+    assert quiet.stderr == ""
+    assert [line.split(" ")[0] for line in quiet.stdout.splitlines()] == ["best", "checkpoint:"]
+    loud = run_cli("-v", "ensemble-train", *common, "--out-dir", str(tmp_path / "two"),
+                   "--seeds", "3,4")
+    epochs = sorted(re.findall(r"^INFO seed (\d) epoch (\d): ", loud.stderr, re.MULTILINE))
+    assert epochs == [("3", "1"), ("3", "2"), ("4", "1"), ("4", "2")]
+
+
 @pytest.fixture
 def trained_group(workspace, capsys):
-    """A two-member ensemble trained on the workspace: its manifest and the
-    first member's checkpoint."""
+    """A two-member ensemble trained on the workspace: its manifest, the manifest
+    led by whitespace, and the first member's checkpoint."""
     tmp_path, emb, data = workspace
     out_dir = tmp_path / "group"
     assert main(["ensemble-train", "--embeddings", str(emb), "--train-path", str(data),
                  "--val-path", str(data), "--out-dir", str(out_dir), "--k", "6",
                  "--epochs", "2", "--batch-size", "4", "--seeds", "1,2"]) == 0
     capsys.readouterr()
-    return {"manifest": out_dir / "ensemble.json", "checkpoint": out_dir / "member_seed1.ckpt"}
+    padded = out_dir / "padded.json"
+    padded.write_text("\n  " + (out_dir / "ensemble.json").read_text())
+    return {"manifest": out_dir / "ensemble.json", "padded_manifest": padded,
+            "checkpoint": out_dir / "member_seed1.ckpt"}
 
 
 def _group(path) -> Ensemble:
     return load_ensemble(path) if path.suffix == ".json" else Ensemble([load_checkpoint(path)])
 
 
-@pytest.mark.parametrize("kind", ["checkpoint", "manifest"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("content", [b"", b"MCLSTM", b"\x00\x01\xff binary", b"not json\n"],
+                         ids=["empty", "cut_magic", "binary", "text"])
+def test_file_neither_checkpoint_nor_manifest_fails(workspace, capsys, command, content):
+    tmp_path, emb, data = workspace
+    path = tmp_path / "group"
+    path.write_bytes(content)
+    rest = [str(data)] if command == "eval" else ["w0 w1", "w2"]
+    assert main([command, str(path), *rest, "--embeddings", str(emb)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad manifest") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "manifest", "padded_manifest"])
 def test_eval_prints_per_pair_scores(workspace, trained_group, capsys, kind):
     tmp_path, emb, data = workspace
     assert main(["eval", str(trained_group[kind]), str(data), "--embeddings", str(emb)]) == 0
@@ -518,7 +559,7 @@ def test_eval_prints_per_pair_scores(workspace, trained_group, capsys, kind):
     assert capsys.readouterr().out.splitlines() == expected
 
 
-@pytest.mark.parametrize("kind", ["checkpoint", "manifest"])
+@pytest.mark.parametrize("kind", ["checkpoint", "manifest", "padded_manifest"])
 def test_predict_prints_member_mean(workspace, trained_group, capsys, kind):
     tmp_path, emb, data = workspace
     assert main(["predict", str(trained_group[kind]), "w0 w1 w2 w3", "w4 w5",

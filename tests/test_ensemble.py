@@ -55,6 +55,13 @@ class TestTrainEnsemble:
             for name, arr in ma.parameters().items():
                 assert np.array_equal(arr, mb.parameters()[name])
 
+    def test_each_member_logs_its_epochs_under_its_seed(self, caplog, one_helper):
+        lib, pairs = setup()
+        with caplog.at_level("INFO", logger="maxcosine.training"):
+            train_ensemble(quick_config(epochs=2), [1, 2], pairs, pairs[:3], lib)
+        lines = sorted(r.getMessage().split(":")[0] for r in caplog.records)
+        assert lines == ["seed 1 epoch 1", "seed 1 epoch 2", "seed 2 epoch 1", "seed 2 epoch 2"]
+
     def test_distinct_seeds_give_distinct_members(self):
         lib, pairs = setup()
         group, _ = train_ensemble(quick_config(), [7, 8], pairs, pairs[:3], lib)
@@ -82,7 +89,7 @@ class TestPredictEnsemble:
         model = init_model(quick_config(seed=2).model_config(lib.dim), make_rng(2))
         group = Ensemble(members=[model])
         probs_e, label_e = predict_ensemble(group, pairs[0], lib)
-        probs_m, trace = forward(model, pairs[0], lib, train=False)
+        probs_m, trace = forward(model, pairs[0], lib)
         _, label_m = decide(model.softmax, trace.h_out)
         assert np.array_equal(probs_e, probs_m)
         assert label_e == label_m
@@ -372,6 +379,15 @@ class TestManifest:
         for ma, mb in zip(group.members, back.members):
             for name, arr in ma.parameters().items():
                 assert np.array_equal(arr, mb.parameters()[name])
+
+    def test_save_refuses_members_of_one_seed(self, tmp_path):
+        # both would be written to member_seed1.ckpt, and the first one lost
+        lib, _ = setup()
+        config = quick_config(seed=1).model_config(lib.dim)
+        group = Ensemble([init_model(config, make_rng(s)) for s in (1, 2)])
+        with pytest.raises(ValueError, match=re.escape("distinct seeds to be saved, got [1, 1]")):
+            save_ensemble(group, tmp_path / "ens")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("text", [
         "{}",

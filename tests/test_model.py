@@ -112,7 +112,7 @@ class TestEncodeSequence:
         # one sequence, then a batch of mixed lengths with a tie and a length 1
         for lengths in ([6], [3, 1, 6, 6, 2]):
             seqs = [(rng.standard_normal((m, 4)),) for m in lengths]
-            _, trace = forward_batch(model, seqs, train=train, rng=make_rng(9))
+            _, trace = forward_batch(model, seqs, make_rng(9) if train else None)
             enc = trace.enc_h
             # the oracle draws the masks pair by pair as one step at a time would:
             # each input, then h_m
@@ -152,15 +152,15 @@ class TestEncodeSequence:
         rng = make_rng(0)
         model = small_model(d=3, k=4)
         seqs = [(rng.standard_normal((m, 6)),) for m in (5, 2)]
-        p_train, t_train = forward_batch(model, seqs, train=True, rng=make_rng(1))
-        p_eval, t_eval = forward_batch(model, seqs, train=False)
+        p_train, t_train = forward_batch(model, seqs, make_rng(1))
+        p_eval, t_eval = forward_batch(model, seqs)
         assert np.array_equal(t_train.enc_h.h_final, t_eval.enc_h.h_final)
         assert np.array_equal(p_train, p_eval)
 
-    def test_eval_ignores_rate_and_rng(self):
+    def test_eval_ignores_dropout_rate(self):
         rng = make_rng(0)
         seqs = [(rng.standard_normal((m, 6)),) for m in (4, 1)]
-        a, _ = forward_batch(small_model(d=3, k=4, dropout=0.5), seqs, rng=make_rng(1))
+        a, _ = forward_batch(small_model(d=3, k=4, dropout=0.5), seqs)
         b, _ = forward_batch(small_model(d=3, k=4, dropout=0.0), seqs)
         assert np.array_equal(a, b)
 
@@ -201,13 +201,13 @@ def test_batch_gradient_is_mean_of_single_pair_gradients(lengths, biway):
         for m_h, m_p in zip(lengths, lengths[::-1])
     ]
     labels = [int(x) for x in rng.integers(1, 4, len(seqs))]
-    _, trace = forward_batch(model, seqs, train=True, rng=make_rng(1))
+    _, trace = forward_batch(model, seqs, make_rng(1))
     batch = backward(model, trace, labels)
     # one pair at a time from the same stream draws the same masks
     singles = make_rng(1)
     total = {name: 0.0 for name in batch}
     for seq, label in zip(seqs, labels):
-        _, one = forward_batch(model, [seq], train=True, rng=singles)
+        _, one = forward_batch(model, [seq], singles)
         for name, g in backward(model, one, [label]).items():
             total[name] = total[name] + g
     assert all(np.any(total[f"{lstm}.W_i"]) for lstm in ("lstm_h", "lstm_p")[: 1 + biway])
@@ -249,8 +249,8 @@ class TestForward:
         lib = random_library(rng, dim=6)
         pair = random_pairs(rng, lib, 1)[0]
         model = small_model(d=6, k=5, dropout=0.4)
-        a, _ = forward(model, pair, lib, train=False)
-        b, _ = forward(model, pair, lib, train=False)
+        a, _ = forward(model, pair, lib)
+        b, _ = forward(model, pair, lib)
         assert np.array_equal(a, b)
         assert a.shape == (3,)
 
@@ -435,7 +435,7 @@ class TestBackward:
         model = small_model(d=6, k=5)
         model.softmax.W_s[...] = 0.0
         model.softmax.b_s[...] = 0.0
-        _, trace = forward(model, pair, lib, train=True, rng=make_rng(0))
+        _, trace = forward_batch(model, [augment_pair(pair, lib, model.config)], make_rng(0))
         grads = backward(model, trace, [2])
         expected = np.full(3, 1 / 3)
         expected[1] -= 1.0
@@ -481,7 +481,7 @@ class TestBackward:
         lib = random_library(rng, dim=6)
         pair = random_pairs(rng, lib, 1)[0]
         model = small_model(d=6, k=4)
-        _, trace = forward(model, pair, lib, train=True, rng=make_rng(0))
+        _, trace = forward_batch(model, [augment_pair(pair, lib, model.config)], make_rng(0))
         with pytest.raises(ValueError):
             backward(model, trace, [0])
 

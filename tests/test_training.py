@@ -231,7 +231,7 @@ class TestTrain:
 
     def test_memorizes_small_dataset(self):
         lib, pairs = memorization_setup(n_pairs=10)
-        cfg = self.small_config(k=24, epochs=150, target_val_accuracy=1.0)
+        cfg = self.small_config(k=24, epochs=150)
         result = train(pairs, pairs, cfg, lib)
         assert result.best_val_accuracy == 1.0
         losses = [h.train_loss for h in result.history[:5]]
@@ -253,10 +253,11 @@ class TestTrain:
         lib, pairs = memorization_setup()
         path = tmp_path / "metrics.tsv"
         with caplog.at_level("INFO", logger="maxcosine.training"):
-            train(pairs, pairs[:4], self.small_config(), lib, metrics_path=path, verbose=True)
+            train(pairs, pairs[:4], self.small_config(), lib, metrics_path=path)
         lines = [r.getMessage() for r in caplog.records]
         assert len(lines) == 2
-        for line in lines:
+        for epoch, line in enumerate(lines, start=1):
+            assert line.startswith(f"seed 9 epoch {epoch}: "), line
             assert re.search(r"train_pairs_per_s=\d+\.\d val_s=\d+\.\d{3}$", line), line
         assert all(len(row.split("\t")) == 3 for row in path.read_text().splitlines())
 
@@ -404,7 +405,7 @@ def test_epoch_is_the_hand_assembled_adam_steps(batches):
     order = rng.permutation(len(pairs))
     for start in range(0, len(pairs), cfg.batch_size):
         which = order[start : start + cfg.batch_size]
-        _, trace = forward_batch(model, index.sequences(which), train=True, rng=rng)
+        _, trace = forward_batch(model, index.sequences(which), rng)
         grads = backward(model, trace, [pairs[i].label for i in which])
         grads.flat /= len(which)
         adam_step(params, grads, state, cfg)
