@@ -171,19 +171,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_group(path) -> ens.Ensemble:
-    """A checkpoint, as a one-member ensemble, or else an ensemble manifest."""
-    with open(path, "rb") as fh:
-        is_checkpoint = fh.read(len(ckpt.MAGIC)) == ckpt.MAGIC
-    if is_checkpoint:
-        return ens.Ensemble([ckpt.load_checkpoint(path)])
-    return ens.load_ensemble(path)
-
-
 def cmd_eval(args) -> int:
     lib = load_libraries(resolve_config(args))
     pairs = _load_pairs(args.dataset)
-    result = evaluate(pairs, _load_group(args.checkpoint), lib)
+    result = evaluate(pairs, ens.load_ensemble(args.checkpoint), lib)
     correct = int(np.trace(result.confusion))
     print(f"accuracy: {result.accuracy:.4f} ({correct}/{result.total})")
     print("confusion (rows gold, cols predicted; E C N):")
@@ -203,7 +194,7 @@ def _sentence_pair(args) -> SentencePair:
 def cmd_predict(args) -> int:
     pair = _sentence_pair(args)
     lib = load_libraries(resolve_config(args))
-    group = _load_group(args.checkpoint)
+    group = ens.load_ensemble(args.checkpoint)
     probs, label = ens.predict_ensemble(group, pair, lib)
     for i, name in LABEL_NAMES.items():
         print(f"{name}: {probs[i - 1]:.6f}")
@@ -239,8 +230,7 @@ def _ensemble_settings(cfg: dict) -> list[int]:
         raise CliError(f"bad value for seeds: {cfg['seeds']!r}") from None
     if not seeds:
         raise CliError("seeds must name at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise CliError(f"seeds must be pairwise distinct, got {cfg['seeds']}")
+    ens.require_distinct_seeds(seeds)
     return seeds
 
 

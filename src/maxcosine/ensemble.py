@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
+from .checkpoint import MAGIC, atomic_write, load_checkpoint, save_checkpoint
 from .data import SentencePair
 from .embeddings import EmbeddingLibrary
 from .matching import index_pairs
@@ -37,6 +37,12 @@ class Ensemble:
                 raise ValueError("ensemble members must share a config (only seeds differ)")
 
 
+def require_distinct_seeds(seeds: Sequence[int]) -> None:
+    """The rule every group of members obeys: no seed twice."""
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"ensemble seeds must be pairwise distinct, got {list(seeds)}")
+
+
 def train_ensemble(
     config: TrainConfig,
     seeds: Sequence[int],
@@ -51,8 +57,7 @@ def train_ensemble(
     (on one core, those after it do not start), then the first failed member's
     error in seed order is raised. After Ctrl-C, no member starts, and one
     training on the helper thread stops at its next batch."""
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("ensemble seeds must be pairwise distinct")
+    require_distinct_seeds(seeds)
     metrics = [str(Path(metrics_dir) / f"metrics_seed{s}.tsv") if metrics_dir else None
                for s in seeds]
     # matching reads only what members share (library, biway, OOV window), so
@@ -90,33 +95,41 @@ def save_manifest(path, member_paths: Sequence[str], seeds: Sequence[int]) -> No
         fh.write((json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
 
 
-def load_ensemble(manifest_path) -> Ensemble:
-    """Load every member checkpoint a manifest lists; checkpoint paths are
-    relative to the manifest's directory unless absolute."""
+def load_ensemble(path) -> Ensemble:
+    """A checkpoint, as a one-member ensemble, or else a manifest: every member
+    checkpoint it lists, each path relative to the manifest's directory unless
+    absolute, of one config and no seed twice."""
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC)) == MAGIC:
+            return Ensemble([load_checkpoint(path)])
     try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             paths = [entry["checkpoint"] for entry in json.load(fh)["members"]]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ManifestError(f"{manifest_path}: bad manifest: {exc!r}") from None
+        raise ManifestError(f"{path}: bad manifest: {exc!r}") from None
     if not paths:
-        raise ManifestError(f"{manifest_path}: no members")
+        raise ManifestError(f"{path}: no members")
     for p in paths:
         try:
             usable = isinstance(p, str) and "\0" not in p and os.fsencode(p) != b""
         except UnicodeEncodeError:  # a lone surrogate the file system cannot take
             usable = False
         if not usable:
-            raise ManifestError(f"{manifest_path}: member checkpoint {p!r} is not a file path")
-    base = Path(manifest_path).parent
-    return Ensemble(members=[load_checkpoint(base / p) for p in paths])
+            raise ManifestError(f"{path}: member checkpoint {p!r} is not a file path")
+    base = Path(path).parent
+    members = [load_checkpoint(base / p) for p in paths]
+    try:
+        require_distinct_seeds([m.config.seed for m in members])
+        return Ensemble(members)
+    except ValueError as exc:  # members that do not make one group
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 def save_ensemble(ensemble: Ensemble, out_dir) -> Path:
     """Each member's checkpoint, named by its seed, and a manifest listing them.
     Members of one seed would share a file, so they raise before anything is written."""
     seeds = [m.config.seed for m in ensemble.members]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"ensemble members must have distinct seeds to be saved, got {seeds}")
+    require_distinct_seeds(seeds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [f"member_seed{seed}.ckpt" for seed in seeds]

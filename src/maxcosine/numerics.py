@@ -49,15 +49,11 @@ def gradient_check(
     f: Callable[[np.ndarray], float],
     theta: np.ndarray,
     analytic_grad: np.ndarray,
-    h: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic_grad and central differences of f at theta.
-
-    Relative error per coordinate is |a - n| / max(1e-8, |a| + |n|).
-    """
+    """Max relative error between analytic_grad and central differences of f at
+    float theta, step 1e-5: per coordinate, |a - n| / max(1e-8, |a| + |n|)."""
+    h = 1e-5
     theta = np.array(theta)
-    if not np.issubdtype(theta.dtype, np.floating):
-        theta = theta.astype(np.float64)
     numeric = np.empty_like(theta)
     for i in range(theta.size):
         orig = theta[i]

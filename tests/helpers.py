@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from maxcosine import model as model_module
-from maxcosine.data import SentencePair
+from maxcosine.data import CONTRADICTION, NEUTRAL, SentencePair
 from maxcosine.embeddings import EmbeddingFormatError, EmbeddingLibrary
 from maxcosine.model import Model, Params
 
@@ -29,6 +29,31 @@ def random_pairs(rng, lib, n, min_len=3, max_len=6):
         hyp = tuple(str(w) for w in rng.choice(words, size=int(rng.integers(min_len, max_len + 1))))
         out.append(SentencePair(prem, hyp, label=int(rng.integers(1, 4)), id=i))
     return out
+
+
+def antonym_task(rng):
+    """A task a model learns to generalise: 40 words at d = 8, each with a `not_`
+    antonym whose vector is the word's negated. A premise is 5-8 distinct words
+    and a hypothesis 3-4 of them; contradiction swaps one hypothesis word for its
+    antonym, and neutral for a word not in the premise. Returns the library and
+    3,000 train, 200 validation and 300 test pairs."""
+    n_words = 40
+    words = [f"w{i}" for i in range(n_words)]
+    vectors = rng.standard_normal((n_words, 8))
+    lib = EmbeddingLibrary({w: i for i, w in enumerate(words + [f"not_{w}" for w in words])},
+                           np.vstack([vectors, -vectors]))
+
+    def pair(i):
+        prem = rng.choice(n_words, size=int(rng.integers(5, 9)), replace=False)
+        hyp = [words[j] for j in rng.choice(prem, size=int(rng.integers(3, 5)), replace=False)]
+        label, slot = int(rng.integers(1, 4)), int(rng.integers(len(hyp)))
+        if label == CONTRADICTION:
+            hyp[slot] = "not_" + hyp[slot]
+        elif label == NEUTRAL:
+            hyp[slot] = words[int(rng.choice(np.setdiff1d(np.arange(n_words), prem)))]
+        return SentencePair(tuple(words[j] for j in prem), tuple(hyp), label=label, id=i)
+
+    return lib, [[pair(i) for i in range(n)] for n in (3000, 200, 300)]
 
 
 def record_pass_threads(monkeypatch) -> list:

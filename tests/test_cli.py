@@ -21,7 +21,7 @@ from maxcosine.data import LABEL_NAMES, SentencePair, load_snli
 from maxcosine.embeddings import (
     EmbeddingLibrary, load_binary_format, load_text_format, save_binary_format,
 )
-from maxcosine.ensemble import Ensemble, load_ensemble, predict_ensemble
+from maxcosine.ensemble import load_ensemble, predict_ensemble
 from maxcosine.numerics import make_rng
 
 
@@ -224,7 +224,7 @@ BAD_TRAIN_SETTINGS = [
 
 # settings only ensemble-train reads; each flag overrides the valid `--seeds 1,2` before it
 BAD_ENSEMBLE_SETTINGS = [
-    (["--seeds", "1,1"], "seeds must be pairwise distinct, got 1,1"),
+    (["--seeds", "1,1"], "ensemble seeds must be pairwise distinct, got [1, 1]"),
     (["--seeds", ","], "seeds must name at least one seed"),
     (["--seeds", "1,x"], "bad value for seeds: '1,x'"),
 ]
@@ -524,10 +524,6 @@ def trained_group(workspace, capsys):
             "checkpoint": out_dir / "member_seed1.ckpt"}
 
 
-def _group(path) -> Ensemble:
-    return load_ensemble(path) if path.suffix == ".json" else Ensemble([load_checkpoint(path)])
-
-
 @pytest.mark.parametrize("command", ["eval", "predict"])
 @pytest.mark.parametrize("content", [b"", b"MCLSTM", b"\x00\x01\xff binary", b"not json\n"],
                          ids=["empty", "cut_magic", "binary", "text"])
@@ -546,7 +542,7 @@ def test_eval_prints_per_pair_scores(workspace, trained_group, capsys, kind):
     tmp_path, emb, data = workspace
     assert main(["eval", str(trained_group[kind]), str(data), "--embeddings", str(emb)]) == 0
     # the loop eval ran before it shared training's batched evaluation
-    lib, group = load_text_format(emb), _group(trained_group[kind])
+    lib, group = load_text_format(emb), load_ensemble(trained_group[kind])
     pairs = load_snli(data)[0]
     confusion = np.zeros((3, 3), dtype=np.int64)
     for pair in pairs:
@@ -564,11 +560,23 @@ def test_predict_prints_member_mean(workspace, trained_group, capsys, kind):
     tmp_path, emb, data = workspace
     assert main(["predict", str(trained_group[kind]), "w0 w1 w2 w3", "w4 w5",
                  "--embeddings", str(emb)]) == 0
-    lib, group = load_text_format(emb), _group(trained_group[kind])
+    lib, group = load_text_format(emb), load_ensemble(trained_group[kind])
     pair = SentencePair(("w0", "w1", "w2", "w3"), ("w4", "w5"), label=1, id=0)
     probs, label = predict_ensemble(group, pair, lib)
     expected = [f"{name}: {probs[i - 1]:.6f}" for i, name in LABEL_NAMES.items()]
     assert capsys.readouterr().out.splitlines() == expected + [f"label: {LABEL_NAMES[label]}"]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_manifest_of_one_seed_twice_fails_before_scoring(workspace, trained_group, capsys,
+                                                         command):
+    tmp_path, emb, data = workspace
+    manifest = trained_group["manifest"].with_name("twice.json")
+    manifest.write_text(json.dumps({"members": [{"checkpoint": "member_seed1.ckpt"}] * 2}))
+    rest = [str(data)] if command == "eval" else ["w0 w1", "w2"]
+    assert main([command, str(manifest), *rest, "--embeddings", str(emb)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {manifest}: ensemble seeds must be pairwise distinct, got [1, 1]\n")
 
 
 def test_predict_dimension_mismatch_fails(workspace, trained_group, capsys):

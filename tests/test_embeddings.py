@@ -236,6 +236,14 @@ class TestBinaryFormat:
                            match=re.escape(f"{path}: malformed header {header!r}")):
             load_binary_format(path)
 
+    @pytest.mark.parametrize("content", [b"3 2", b"3 2" + b" " * 2000 + b"\n"],
+                             ids=["no_line_feed", "longer_than_header_max"])
+    def test_truncated_header(self, tmp_path, content):
+        path = tmp_path / "e.bin"
+        path.write_bytes(content)
+        with pytest.raises(EmbeddingFormatError, match=re.escape(f"{path}: truncated header")):
+            load_binary_format(path)
+
     def test_header_count_beyond_file_size(self, tmp_path):
         path = tmp_path / "e.bin"
         path.write_bytes(b"1000000000000 300\nw " + struct.pack("<300f", *range(300)))

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import random_library, random_pairs, record_pass_threads
 from maxcosine import ensemble as ensemble_module, model as model_module, training
-from maxcosine.checkpoint import CheckpointError, save_checkpoint
+from maxcosine.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from maxcosine.ensemble import (
     Ensemble,
     ManifestError,
@@ -380,12 +380,39 @@ class TestManifest:
             for name, arr in ma.parameters().items():
                 assert np.array_equal(arr, mb.parameters()[name])
 
+    def test_checkpoint_loads_as_one_member(self, tmp_path):
+        lib, _ = setup()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_model(quick_config(seed=4).model_config(lib.dim), make_rng(4)))
+        group = load_ensemble(path)
+        assert len(group.members) == 1
+        assert group.members[0].theta.tobytes() == load_checkpoint(path).theta.tobytes()
+
+    @pytest.mark.parametrize("second, message", [
+        ("a.ckpt", "ensemble seeds must be pairwise distinct, got [1, 1]"),
+        ("b.ckpt", "ensemble seeds must be pairwise distinct, got [1, 1]"),
+        ("biway.ckpt", "ensemble members must share a config (only seeds differ)"),
+    ], ids=["same_file_twice", "two_files_one_seed", "two_configs"])
+    def test_load_refuses_members_that_are_not_one_group(self, tmp_path, second, message):
+        # a model listed twice would count twice in the mean
+        lib, _ = setup()
+        config = quick_config(seed=1).model_config(lib.dim)
+        save_checkpoint(tmp_path / "a.ckpt", init_model(config, make_rng(1)))
+        save_checkpoint(tmp_path / "b.ckpt", init_model(config, make_rng(2)))
+        biway = dataclasses.replace(config, biway=True, seed=2)
+        save_checkpoint(tmp_path / "biway.ckpt", init_model(biway, make_rng(2)))
+        manifest = tmp_path / "ensemble.json"
+        save_manifest(manifest, ["a.ckpt", second], [1, 2])
+        with pytest.raises(ManifestError, match=re.escape(f"{manifest}: {message}")):
+            load_ensemble(manifest)
+
     def test_save_refuses_members_of_one_seed(self, tmp_path):
         # both would be written to member_seed1.ckpt, and the first one lost
         lib, _ = setup()
         config = quick_config(seed=1).model_config(lib.dim)
         group = Ensemble([init_model(config, make_rng(s)) for s in (1, 2)])
-        with pytest.raises(ValueError, match=re.escape("distinct seeds to be saved, got [1, 1]")):
+        with pytest.raises(ValueError,
+                           match=re.escape("ensemble seeds must be pairwise distinct, got [1, 1]")):
             save_ensemble(group, tmp_path / "ens")
         assert list(tmp_path.iterdir()) == []
 

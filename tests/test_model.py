@@ -485,6 +485,15 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(model, trace, [0])
 
+    def test_label_count_must_match_batch(self):
+        rng = make_rng(13)
+        lib = random_library(rng, dim=6)
+        pair = random_pairs(rng, lib, 1)[0]
+        model = small_model(d=6, k=4)
+        _, trace = forward_batch(model, [augment_pair(pair, lib, model.config)], make_rng(0))
+        with pytest.raises(ValueError, match=re.escape("2 labels for a batch of 1")):
+            backward(model, trace, [1, 2])
+
 
 @pytest.mark.parametrize("biway", [False, True])
 class TestParameterBuffer:

@@ -85,13 +85,18 @@ def test_softmax_contract():
 
 
 def test_gradient_check_quadratic():
-    err = gradient_check(lambda t: float(t[0] ** 2), np.array([3.0]), np.array([6.0]), h=1e-5)
+    err = gradient_check(lambda t: float(t[0] ** 2), np.array([3.0]), np.array([6.0]))
     assert err < 1e-9
 
 
 def test_gradient_check_constant():
-    err = gradient_check(lambda t: 1.0, np.array([0.3, -0.7]), np.zeros(2), h=1e-5)
+    err = gradient_check(lambda t: 1.0, np.array([0.3, -0.7]), np.zeros(2))
     assert err == 0.0
+
+
+def test_gradient_check_rejects_analytic_of_another_shape():
+    with pytest.raises(ValueError, match="analytic gradient shape mismatch"):
+        gradient_check(lambda t: float(t.sum()), np.array([1.0, 2.0]), np.ones(3))
 
 
 def test_gradient_check_rejects_nonfinite():

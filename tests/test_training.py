@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    antonym_task,
     augment_pair_reference,
     flat_params,
     random_library,
@@ -236,6 +237,13 @@ class TestTrain:
         assert result.best_val_accuracy == 1.0
         losses = [h.train_loss for h in result.history[:5]]
         assert all(a > b for a, b in zip(losses, losses[1:]))
+
+    def test_learns_a_held_out_task(self):
+        # memorising is not learning: the test pairs are drawn apart from training's
+        lib, (train_pairs, val_pairs, test_pairs) = antonym_task(make_rng(1))
+        cfg = TrainConfig(k=24, batch_size=32, learning_rate=0.01, epochs=25, seed=1)
+        result = train(train_pairs, val_pairs, cfg, lib)
+        assert evaluate(test_pairs, result.best_model, lib).accuracy >= 0.9
 
     def test_metrics_file_format(self, tmp_path):
         lib, pairs = memorization_setup()
