@@ -221,7 +221,7 @@ def cmd_match(args) -> int:
 
 def _ensemble_settings(cfg: dict) -> list[int]:
     """The member seeds of `ensemble-train`, a comma-separated list of distinct
-    integers."""
+    integers, each checked by the rule a model's seed obeys."""
     if "seeds" not in cfg:
         raise CliError("missing required setting seeds")
     try:
@@ -231,7 +231,7 @@ def _ensemble_settings(cfg: dict) -> list[int]:
     if not seeds:
         raise CliError("seeds must name at least one seed")
     ens.require_distinct_seeds(seeds)
-    return seeds
+    return [ModelConfig(1, seed=seed).seed for seed in seeds]
 
 
 def cmd_ensemble_train(args) -> int:
@@ -252,7 +252,8 @@ def cmd_gradcheck(args) -> int:
     for flag in ("dim", "k", "pairs"):
         if getattr(args, flag) < 1:
             raise CliError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    seed = resolve_config(args).get("seed", 0)
+    # checked by the rule a model's seed obeys, before anything is drawn
+    seed = ModelConfig(1, seed=resolve_config(args).get("seed", 0)).seed
     rng = make_rng(seed)
     d, k = args.dim, args.k
     vocab = [f"w{i}" for i in range(24)]

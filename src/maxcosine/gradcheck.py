@@ -36,5 +36,5 @@ def model_gradient_check(
         return cross_entropy(forward_batch(Model(model.config, theta), seqs_ld)[0], labels)
 
     _, trace = forward_batch(model, seqs)
-    analytic = backward(model, trace, labels).flat / len(seqs)
+    analytic = backward(model, trace, labels).flat  # of the same mean loss
     return gradient_check(objective, model.theta.astype(np.longdouble), analytic)

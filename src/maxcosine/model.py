@@ -7,6 +7,7 @@ import ctypes  # numpy imports it too
 import glob
 import itertools
 import math
+import operator
 import os
 import threading
 from collections import deque
@@ -36,12 +37,13 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
-        if self.oov_window < 0:
-            raise ValueError("oov_window must be >= 0")
+        for name, least in (("k", 1), ("embedding_dim", 1), ("seed", 0), ("oov_window", 0)):
+            value = getattr(self, name)
+            if not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+            setattr(self, name, operator.index(value))
 
     @property
     def input_dim(self) -> int:
@@ -178,22 +180,16 @@ class Model:
         return Params(self.theta, _layout(self.config, per_gate=True))
 
 
-def _glorot(rng: np.random.Generator, rows: int, out: np.ndarray) -> None:
-    """Fill `out` with a uniform draw at the Glorot limit of a (rows, out.shape[1])
-    matrix, `rows` rows at a time; filling block by block reads the stream
-    exactly as one draw of the whole of `out` would."""
-    limit = np.sqrt(6.0 / (rows + out.shape[1]))
-    for start in range(0, out.shape[0], rows):
-        out[start : start + rows] = rng.uniform(-limit, limit, size=(rows, out.shape[1]))
-
-
 def init_model(config: ModelConfig, rng: np.random.Generator) -> Model:
     """Uniform Glorot weights (per gate for the LSTMs), zero biases; biway
-    allocates two independent LSTMs."""
+    allocates two independent LSTMs. Each matrix is one draw into `theta`, with
+    the stream and values of `rng.uniform(-limit, limit, W.shape)` but no copy."""
     model = Model(config)
-    for lstm in model.lstms:
-        _glorot(rng, config.k, lstm.W)
-    _glorot(rng, N_LABELS, model.softmax.W_s)
+    for rows, W in [(config.k, lstm.W) for lstm in model.lstms] + [(N_LABELS, model.softmax.W_s)]:
+        limit = np.sqrt(6.0 / (rows + W.shape[1]))
+        rng.random(out=W)
+        W *= 2 * limit
+        W -= limit  # -limit + 2 * limit * u, rounded as `uniform` rounds it
     return model
 
 
@@ -412,8 +408,8 @@ def lstm_backward(
 
 
 def backward(model: Model, trace: ForwardTrace, labels: Sequence[int]) -> Params:
-    """Gradients of the cross-entropy loss summed over the batch, keyed like
-    parameters(), as the parameters of a new model of the same config.
+    """The gradient of `training.cross_entropy`, the batch's mean loss, keyed
+    like parameters(), as the parameters of a new model of the same config.
 
     Embedding vectors receive no gradient; they are fixed inputs.
     """
@@ -433,6 +429,7 @@ def backward(model: Model, trace: ForwardTrace, labels: Sequence[int]) -> Params
     dh_finals = np.split(dh_out, len(model.lstms), axis=1)[::-1]
     for lstm, enc, dh_final, grad in zip(model.lstms, trace.encoders, dh_finals, out.lstms):
         lstm_backward(lstm, enc, dh_final, grad)
+    out.theta /= len(labels)  # the sums above, as the batch mean
     return out.parameters()
 
 
@@ -536,7 +533,8 @@ def _run_passes(jobs: Sequence[tuple[Callable, tuple, int]]) -> list:
     helper.start()
     try:
         drain()
-        helped.wait()
+        while not helped.wait(0.05):  # a SIGINT as a wait starts is seen when it returns
+            pass
     except BaseException:  # an interrupt outside a job, as while waiting
         stop.set()
         helped.wait()

@@ -223,7 +223,6 @@ def train(
                     for loss in losses:
                         loss_sum += loss
                     grads = backward(model, trace, labels)
-                    grads.flat /= len(batch)
                     adam_step(params, grads, state, config)
                     del seqs, trace, grads  # freed before the next batch's are built
             trained = time.perf_counter()

@@ -206,6 +206,9 @@ def test_match_rejects_negative_oov_window(workspace, capsys):
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--dim", "4", "--k", "3", "--pairs", "1", "--seed", "0"]) == 0
     assert "PASS" in capsys.readouterr().out
+    # the seed is checked by a model's seed rule before anything is drawn
+    assert main(["gradcheck", "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
 
 
 @pytest.mark.parametrize("flag", ["--dim", "--k", "--pairs"])
@@ -227,6 +230,7 @@ BAD_ENSEMBLE_SETTINGS = [
     (["--seeds", "1,1"], "ensemble seeds must be pairwise distinct, got [1, 1]"),
     (["--seeds", ","], "seeds must name at least one seed"),
     (["--seeds", "1,x"], "bad value for seeds: '1,x'"),
+    (["--seeds", "1,-2"], "seed must be >= 0"),
 ]
 
 
@@ -235,7 +239,8 @@ def test_bad_train_config_rejected_before_loading(tmp_path, capsys, command):
     # the embeddings and data paths do not exist: the config error must come first
     missing = str(tmp_path / "missing")
     out_dir = tmp_path / "run"
-    bad = BAD_TRAIN_SETTINGS + (BAD_ENSEMBLE_SETTINGS if command == "ensemble-train" else [])
+    bad = BAD_TRAIN_SETTINGS + (BAD_ENSEMBLE_SETTINGS if command == "ensemble-train"
+                                else [(["--seed", "-1"], "seed must be >= 0")])
     seeds = ["--seeds", "1,2"] if command == "ensemble-train" else []
     for flags, message in bad:
         rc = main([command, "--embeddings", missing, "--train-path", missing,
@@ -631,6 +636,13 @@ def test_bad_seed_env_names_the_variable(workspace, monkeypatch, capsys):
     assert main(["train", "--embeddings", str(emb), "--train-path", str(data),
                  "--val-path", str(data), "--out-dir", str(ws / "env_bad")]) == 1
     assert capsys.readouterr().err == "error: bad value for MAXCOSINE_SEED: 'x'\n"
+    assert not (ws / "env_bad").exists()
+    # an integer is checked by a model's seed rule, before any file is read
+    monkeypatch.setenv("MAXCOSINE_SEED", "-1")
+    missing = str(ws / "missing")
+    assert main(["train", "--embeddings", missing, "--train-path", missing,
+                 "--val-path", missing, "--out-dir", str(ws / "env_bad")]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
     assert not (ws / "env_bad").exists()
     # a command without a seed does not read the variable
     assert main(["match", "w0 w1", "w2", "--embeddings", str(emb)]) == 0

@@ -43,6 +43,7 @@ def small_model(d=8, k=12, biway=False, dropout=0.0, seed=0):
 
 @pytest.mark.parametrize("field,value", [
     ("k", 0), ("embedding_dim", 0), ("dropout_rate", 1.0), ("oov_window", -1),
+    ("seed", -1), ("oov_window", 1.5), ("k", 2.0),
 ])
 def test_model_config_rejects_nonsense(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
@@ -213,7 +214,7 @@ def test_batch_gradient_is_mean_of_single_pair_gradients(lengths, biway):
     assert all(np.any(total[f"{lstm}.W_i"]) for lstm in ("lstm_h", "lstm_p")[: 1 + biway])
     for name, g in batch.items():
         ref = total[name] / len(seqs)
-        assert np.max(np.abs(g / len(seqs) - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 class TestDecide:
@@ -322,6 +323,8 @@ class TestIndependentPasses:
 
         def echo(i):
             both.wait()
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)  # the caller waits longer than one of its wait slices
             return i
 
         # results come back in job order, whatever order the jobs were taken in
@@ -383,10 +386,12 @@ class TestIndependentPasses:
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_an_interrupt_while_the_caller_waits_stops_the_helpers_job(self, one_helper):
+        both = threading.Barrier(2, timeout=10)  # each thread holds one job
         caller_done = threading.Event()
         stopped = []
 
         def job():
+            both.wait()
             if threading.current_thread() is threading.main_thread():
                 caller_done.set()  # the caller then waits for the helper
                 return
@@ -552,6 +557,13 @@ class TestCheckpoint:
         for name, arr in model.parameters().items():
             assert np.array_equal(back.parameters()[name], arr)
 
+    def test_numpy_integer_config_saves_as_ints(self, tmp_path):
+        model = small_model(d=np.int64(4), k=np.int32(3), seed=np.int64(5))
+        assert [type(model.config.k), type(model.config.seed)] == [int, int]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        assert load_checkpoint(path).config == model.config
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
@@ -584,8 +596,11 @@ class TestCheckpoint:
         lambda data: _edit_header(data, lambda h: h["config"].update(k=1000000)),
         lambda data: _edit_header(data, lambda h: h["config"].update(oov_window=-1)),
         lambda data: data[:8] + struct.pack("<Q", 200_000) + b"[" * 100_000 + b"]" * 100_000,
+        lambda data: _edit_header(data, lambda h: h["config"].update(oov_window=1.5)),
+        lambda data: _edit_header(data, lambda h: h["config"].update(seed=-1)),
     ], ids=["short_header", "bad_json", "unknown_config_key", "trailing_bytes",
-            "renamed_array", "reshaped_array", "huge_k", "negative_oov_window", "deep_json"])
+            "renamed_array", "reshaped_array", "huge_k", "negative_oov_window", "deep_json",
+            "fractional_oov_window", "negative_seed"])
     def test_corrupt_file_raises_checkpoint_error(self, tmp_path, corrupt):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, small_model(d=4, k=3))

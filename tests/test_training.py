@@ -398,7 +398,7 @@ def test_biway_training_equals_serial(monkeypatch, one_helper):
 @pytest.mark.parametrize("batches", [1, 2])
 def test_epoch_is_the_hand_assembled_adam_steps(batches):
     # one epoch: a permutation, then per batch the train-mode forward on the same
-    # stream, the backward, its mean over the batch and one Adam step, whose
+    # stream, the backward (the batch's mean gradient) and one Adam step, whose
     # m, v and t carry over to the next batch
     rng = make_rng(9)
     lib = random_library(rng, dim=6)
@@ -415,7 +415,6 @@ def test_epoch_is_the_hand_assembled_adam_steps(batches):
         which = order[start : start + cfg.batch_size]
         _, trace = forward_batch(model, index.sequences(which), rng)
         grads = backward(model, trace, [pairs[i].label for i in which])
-        grads.flat /= len(which)
         adam_step(params, grads, state, cfg)
     assert state.t == batches
     assert train(pairs, pairs[:2], cfg, lib).best_model.theta.tobytes() == model.theta.tobytes()
