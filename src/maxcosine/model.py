@@ -24,6 +24,18 @@ from .numerics import sigmoid, sigmoid_grad, softmax, tanh_grad
 N_LABELS = 3
 
 
+def check_integers(config, least_values: Sequence[tuple[str, int]]) -> None:
+    """Require each named field of `config` to be an integer no less than its
+    least value, and store it as a plain int."""
+    for name, least in least_values:
+        value = getattr(config, name)
+        if not hasattr(value, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
+        setattr(config, name, operator.index(value))
+
+
 @dataclass
 class ModelConfig:
     embedding_dim: int          # d of the (possibly concatenated) library
@@ -37,13 +49,7 @@ class ModelConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        for name, least in (("k", 1), ("embedding_dim", 1), ("seed", 0), ("oov_window", 0)):
-            value = getattr(self, name)
-            if not hasattr(value, "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}")
-            setattr(self, name, operator.index(value))
+        check_integers(self, (("k", 1), ("embedding_dim", 1), ("seed", 0), ("oov_window", 0)))
 
     @property
     def input_dim(self) -> int:

@@ -17,6 +17,7 @@ from .model import (
     ModelConfig,
     Params,
     backward,
+    check_integers,
     forward_batch,
     forward_members,
     init_model,
@@ -40,9 +41,6 @@ class DivergenceError(RuntimeError):
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 128
     epochs: int = 10
     dropout_rate: float = 0.0
@@ -53,14 +51,9 @@ class TrainConfig:
     oov_window: int = DEFAULT_OOV_WINDOW
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not (self.learning_rate > 0.0 and self.epsilon > 0.0):
-            raise ValueError("learning_rate and epsilon must be > 0")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError("learning_rate must be finite and > 0")
+        check_integers(self, (("batch_size", 1), ("epochs", 1)))
         self.model_config(embedding_dim=1)  # checks the shared fields by ModelConfig's rules
 
     def model_config(self, embedding_dim: int) -> ModelConfig:
@@ -86,6 +79,7 @@ def cross_entropy(probabilities: Sequence[np.ndarray], gold: Sequence[int]) -> f
 
 
 ADAM_CHUNK = 1 << 15  # values updated at a time: a chunk's arrays, 256 KiB each, stay in L2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's published constants
 
 
 @dataclass
@@ -104,23 +98,23 @@ def adam_step(params: Params, grads: Params, state: AdamState, config: TrainConf
     in place, over their flat arrays a chunk at a time. It does the textbook
     formula's operations in its order, so the result is bitwise that of
     m = b1 m + (1-b1) g, v = b2 v + (1-b2) g g,
-    theta -= lr m_hat / (sqrt(v_hat) + eps).
+    theta -= lr m_hat / (sqrt(v_hat) + eps),
+    with b1, b2 and eps the `ADAM_` constants and lr `config.learning_rate`.
     A non-finite gradient raises before anything is updated."""
     finite = np.isfinite(grads.flat)
     if not finite.all():
         raise DivergenceError(f"non-finite gradient in {grads.name_at(int(np.argmin(finite)))}")
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for start in range(0, params.flat.size, ADAM_CHUNK):
         chunk = slice(start, start + ADAM_CHUNK)
         g, m, v = grads.flat[chunk], state.m[chunk], state.v[chunk]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        params.flat[chunk] -= m / bc1 * config.learning_rate / (np.sqrt(v / bc2) + config.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        params.flat[chunk] -= m / bc1 * config.learning_rate / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 @dataclass

@@ -63,6 +63,9 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("bi_embedding = true", "unknown config key: 'bi_embedding'"),  # follows embeddings2
     ("embedding_format = text", "unknown config key: 'embedding_format'"),  # found from bytes
     ("workers = 2", "unknown config key: 'workers'"),  # members run as threads
+    ("beta1 = 0.9", "unknown config key: 'beta1'"),  # Adam runs at its published constants
+    ("beta2 = 0.999", "unknown config key: 'beta2'"),
+    ("epsilon = 1e-8", "unknown config key: 'epsilon'"),
     ("epochs", "expected key=value, got 'epochs'"),
 ])
 def test_bad_config_file_line_names_its_location(workspace, capsys, line, message):
@@ -223,6 +226,7 @@ BAD_TRAIN_SETTINGS = [
     (["--dropout-rate", "1.5"], "dropout_rate must be in [0, 1)"),
     (["--oov-window", "-1"], "oov_window must be >= 0"),
     (["--max-train-pairs", "0"], "max_pairs must be >= 1, got 0"),
+    (["--learning-rate", "inf"], "error: learning_rate must be finite and > 0"),
 ]
 
 # settings only ensemble-train reads; each flag overrides the valid `--seeds 1,2` before it
@@ -252,11 +256,10 @@ def test_bad_train_config_rejected_before_loading(tmp_path, capsys, command):
 
 
 def test_config_schema_keys_and_types():
-    """The training keys come from TrainConfig; every key and type stays as it was."""
+    """The training keys come from TrainConfig, with these names and types."""
     assert CONFIG_SCHEMA == {
-        "learning_rate": float, "beta1": float, "beta2": float, "epsilon": float,
-        "batch_size": int, "epochs": int, "dropout_rate": float, "seed": int, "k": int,
-        "biway": bool, "oov_window": int,
+        "learning_rate": float, "batch_size": int, "epochs": int, "dropout_rate": float,
+        "seed": int, "k": int, "biway": bool, "oov_window": int,
         "train_path": str, "val_path": str, "embeddings": str, "embeddings2": str,
         "out_dir": str, "seeds": str,
         "max_train_pairs": int, "max_val_pairs": int,
@@ -282,7 +285,7 @@ def test_each_command_takes_flags_for_the_keys_it_reads():
     assert got["train"] == {"--config"} | _flags(CONFIG_SCHEMA) - {"--seeds"}
     assert got["ensemble-train"] == got["train"] - {"--seed"} | {"--seeds"}
     counts = [len(got[name]) for name in ("train", "ensemble-train", "eval", "predict", "match")]
-    assert counts == [19, 19, 3, 3, 4] and sum(counts) == 48
+    assert counts == [16, 16, 3, 3, 4] and sum(counts) == 42
 
 
 @pytest.mark.parametrize("argv", [
@@ -294,6 +297,8 @@ def test_each_command_takes_flags_for_the_keys_it_reads():
     ["ensemble-train", "--workers", "2"],  # members run as threads, two at a time
     ["train", "--bi-embedding", "true"],
     ["ensemble-train", "--seed", "1"],
+    ["train", "--beta1", "0.9"],
+    ["ensemble-train", "--epsilon", "1e-8"],
 ])
 def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exited:
@@ -351,8 +356,8 @@ def test_one_config_file_serves_every_command(workspace, capsys):
     emb2.write_text("w0 1.0 2.0\nzz 3.0 4.0\n")
     out_dir = tmp_path / "shared"
     values = {
-        "learning_rate": 0.01, "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "batch_size": 4,
-        "epochs": 1, "dropout_rate": 0.1, "seed": 3, "k": 4, "biway": "true", "oov_window": 2, "train_path": data, "val_path": data,
+        "learning_rate": 0.01, "batch_size": 4, "epochs": 1, "dropout_rate": 0.1, "seed": 3,
+        "k": 4, "biway": "true", "oov_window": 2, "train_path": data, "val_path": data,
         "embeddings": emb, "embeddings2": emb2, "out_dir": out_dir,
         "seeds": "1,2", "max_train_pairs": 6, "max_val_pairs": 6,
     }

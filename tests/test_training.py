@@ -144,11 +144,11 @@ class TestAdam:
             grads = {name: rng.standard_normal(a.shape) for name, a in params.items()}
             adam_step(params, flat_params(grads), state, cfg)
             for name, g in grads.items():
-                m[name] = cfg.beta1 * m[name] + (1 - cfg.beta1) * g
-                v[name] = cfg.beta2 * v[name] + (1 - cfg.beta2) * g * g
-                m_hat = m[name] / (1 - cfg.beta1**t)
-                v_hat = v[name] / (1 - cfg.beta2**t)
-                theta[name] = theta[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+                m[name] = 0.9 * m[name] + (1 - 0.9) * g
+                v[name] = 0.999 * v[name] + (1 - 0.999) * g * g
+                m_hat = m[name] / (1 - 0.9**t)
+                v_hat = v[name] / (1 - 0.999**t)
+                theta[name] = theta[name] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
                 assert np.array_equal(params[name], theta[name])
             assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
             assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
@@ -186,9 +186,9 @@ class TestAdam:
 
 
 @pytest.mark.parametrize("field,value", [
-    ("epochs", 0), ("learning_rate", -1.0), ("learning_rate", 0.0), ("epsilon", 0.0), ("k", 0),
-    ("dropout_rate", 1.5), ("dropout_rate", -0.1), ("oov_window", -1),
-    ("beta1", 1.0), ("beta2", -0.1), ("batch_size", 0),
+    ("epochs", 0), ("learning_rate", -1.0), ("learning_rate", 0.0), ("learning_rate", float("inf")),
+    ("k", 0), ("dropout_rate", 1.5), ("dropout_rate", -0.1), ("oov_window", -1), ("batch_size", 0),
+    ("batch_size", 2.5), ("epochs", 2.0),
 ])
 def test_train_config_rejects_nonsense(field, value):
     with pytest.raises(ValueError, match=field):
